@@ -22,20 +22,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=None)
     args = parser.parse_args()
+    # Pass the budget only when given, so each sweep's default applies.
+    sweep = {"seed": args.seed}
+    if args.budget is not None:
+        sweep["budget"] = args.budget
 
     sweeps = [
         ("completeness", lambda: verify_completeness()),
         ("reduction to unit propagation", lambda: verify_reduction_to_unit()),
-        (
-            "reduction to rule steps",
-            lambda: verify_reduction_to_rules(args.budget or 500, args.seed),
-        ),
-        (
-            "characterization",
-            lambda: verify_characterization(args.budget or 1000, args.seed),
-        ),
+        ("reduction to rule steps", lambda: verify_reduction_to_rules(**sweep)),
+        ("characterization", lambda: verify_characterization(**sweep)),
         ("rule necessity", lambda: verify_rule_necessity()),
-        ("bool-prime", lambda: verify_bool_prime(args.budget or 1000, args.seed)),
+        ("bool-prime", lambda: verify_bool_prime(**sweep)),
     ]
 
     all_ok = True

@@ -4,7 +4,8 @@ Line-oriented, UTF-8, ``#`` starts a comment:
 
     var <name> <name> ...     declare variables (declaration order is the
                               CSP's variable sequence)
-    dom <name> <0|1|01|{}>    restrict a domain (default is 01)
+    dom <name> <0|1|01|{}>    restrict a domain (default is 01); repeated
+                              dom lines for one name intersect
     eq  a b                   a = b
     not a b                   -a = b
     and a b c                 a /\\ b = c
@@ -16,6 +17,7 @@ Parsing then printing a canonical file reproduces it exactly.
 from __future__ import annotations
 
 from boolprop.model import (
+    FULL,
     BoolConstraint,
     BooleanCSP,
     ConstraintKind,
@@ -23,7 +25,6 @@ from boolprop.model import (
     bcsp,
     constraint_sort_key,
 )
-from boolprop.rules import domain_token
 
 
 class BcnError(ValueError):
@@ -36,6 +37,13 @@ _DOMAIN_TOKENS = {
     "01": frozenset({0, 1}),
     "{}": frozenset(),
 }
+_TOKEN_OF_DOMAIN = {d: token for token, d in _DOMAIN_TOKENS.items()}
+
+
+def domain_token(d: frozenset) -> str:
+    """Render a domain the way .bcn files spell it: 0, 1, 01 or {}."""
+    return _TOKEN_OF_DOMAIN[d]
+
 
 _CONSTRAINT_DIRECTIVES = {
     "eq": ConstraintKind.EQ,
@@ -79,7 +87,7 @@ def parse_bcn(text: str) -> BooleanCSP:
                 raise BcnError(
                     f"line {lineno}: bad domain {args[1]!r} (expected 0, 1, 01 or {{}})"
                 )
-            domains[v] = _DOMAIN_TOKENS[args[1]]
+            domains[v] = domains.get(v, FULL) & _DOMAIN_TOKENS[args[1]]
         elif directive in _CONSTRAINT_DIRECTIVES:
             kind = _CONSTRAINT_DIRECTIVES[directive]
             if len(args) != kind.arity:
@@ -99,24 +107,13 @@ def parse_bcn(text: str) -> BooleanCSP:
 def format_bcn(csp: BooleanCSP) -> str:
     """Canonical text: one var line, dom lines for non-full domains,
     constraints in canonical order."""
-    lines = _bcn_lines(csp)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def bcn_line(csp: BooleanCSP) -> str:
-    """The canonical .bcn text on a single semicolon-joined line, for
-    embedding replayable instances in reports."""
-    return "; ".join(_bcn_lines(csp))
-
-
-def _bcn_lines(csp: BooleanCSP) -> list[str]:
     lines = []
     if csp.vars:
         lines.append("var " + " ".join(v.name for v in csp.vars))
     for v in csp.vars:
         d = csp.domains[v]
-        if d != frozenset({0, 1}):
+        if d != FULL:
             lines.append(f"dom {v.name} {domain_token(d)}")
     for c in sorted(csp.constraints, key=constraint_sort_key):
         lines.append(str(c))
-    return lines
+    return "".join(line + "\n" for line in lines)

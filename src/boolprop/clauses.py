@@ -303,10 +303,13 @@ def translate_clause_set(
         raise ValueError("cannot translate a clause set containing the empty clause")
     if fresh is None:
         fresh = FreshVarSource.avoiding(clause_set_variables(cs))
-    out = ConstraintStore()
+    constraints: set[BoolConstraint] = set()
+    literals: set[Literal] = set()
     for c in sorted(cs, key=clause_sort_key):
-        out = out.union(trans_clause(c, fresh))
-    return out
+        part = trans_clause(c, fresh)
+        constraints |= part.constraints
+        literals |= part.literals
+    return ConstraintStore(frozenset(constraints), frozenset(literals))
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +731,8 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
 
     Variables are named x1..xn.  Comment lines start with ``c``; the
     ``p cnf`` header is honoured for the variable count but clause counts
-    are not enforced.
+    are not enforced.  A line starting with ``%`` ends the input, as in
+    the SATLIB files that close with ``%`` and a lone ``0``.
     """
     declared = 0
     tokens: list[int] = []
@@ -736,6 +740,8 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if stripped.startswith("%"):
+            break
         if stripped.startswith("p"):
             fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -24,13 +23,15 @@ from boolprop.clauses import (
     verify_reduction_to_unit,
 )
 from boolprop.consistency import (
-    hyper_arc_consistent,
+    hyper_arc_witnesses,
     is_limited,
     verify_bool_prime,
     verify_characterization,
     verify_rule_necessity,
 )
 from boolprop.model import (
+    EMPTY,
+    FULL,
     BooleanCSP,
     ConstraintKind,
     Variable,
@@ -42,6 +43,7 @@ from boolprop.rules import (
     PropagationRule,
     builtin_ruleset,
     close,
+    closed_under,
     format_csp_step,
     format_rule,
 )
@@ -69,55 +71,26 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    """A parsed input: either a .bcn CSP or a DIMACS clause set."""
+def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
+    """Read a .bcn or DIMACS problem file.
 
-    format: str  # "bcn" or "dimacs"
-    content: object  # BooleanCSP or a frozenset of clauses
-    clause_vars: tuple = ()  # the DIMACS variable sequence
-
-    def as_csp(self) -> BooleanCSP:
-        """The problem as a CSP; clause sets go through the standard
-        clause-to-constraint translation."""
-        if self.format == "bcn":
-            return self.content
-        return _csp_from_clauses(self.content, self.clause_vars)
-
-
-def _csp_from_clauses(clauses, vars) -> BooleanCSP:
-    contradiction = EMPTY_CLAUSE in clauses
-    csp = store_to_csp(translate_clause_set(clauses - {EMPTY_CLAUSE}))
-    missing = [v for v in vars if v not in csp.domains]
-    if missing:  # variables mentioned in no clause stay unconstrained
-        csp = BooleanCSP(
-            csp.vars + tuple(missing),
-            {**csp.domains, **{v: frozenset({0, 1}) for v in missing}},
-            csp.constraints,
-        )
-    if contradiction:  # the empty clause: fail the CSP outright
-        false_var = Variable("_false", len(csp.vars))
-        csp = BooleanCSP(
-            csp.vars + (false_var,),
-            {**csp.domains, false_var: frozenset()},
-            csp.constraints,
-        )
-    return csp
-
-
-def load_problem(path: str) -> ProblemFile:
+    Returns the CSP and the variables to report a model on: the original
+    clause variables for DIMACS input, which goes through the standard
+    clause-to-constraint translation, and () for .bcn input.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    if _looks_like_dimacs(text):
-        clauses, vars = parse_dimacs(text)
-        return ProblemFile("dimacs", clauses, vars)
-    return ProblemFile("bcn", parse_bcn(text))
-
-
-def _load_csp(path: str) -> tuple[BooleanCSP, tuple]:
-    """Read a problem file; returns the CSP and the variables the caller
-    should report on (original clause variables for DIMACS input)."""
-    problem = load_problem(path)
-    return problem.as_csp(), problem.clause_vars
+    if not _looks_like_dimacs(text):
+        return parse_bcn(text), ()
+    clauses, clause_vars = parse_dimacs(text)
+    csp = store_to_csp(translate_clause_set(clauses - {EMPTY_CLAUSE}))
+    # variables mentioned in no clause stay unconstrained
+    vars = csp.vars + tuple(v for v in clause_vars if v not in csp.domains)
+    domains = {v: csp.domains.get(v, FULL) for v in vars}
+    if EMPTY_CLAUSE in clauses:  # the empty clause: fail the CSP outright
+        false_var = Variable("_false", len(vars))
+        vars += (false_var,)
+        domains[false_var] = EMPTY
+    return BooleanCSP(vars, domains, csp.constraints), clause_vars
 
 
 def _cmd_solve(args) -> int:
@@ -152,21 +125,20 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_check(args) -> int:
     csp, _ = _load_csp(args.file)
-    report = hyper_arc_consistent(csp)
     if args.limited:
-        print(f"limited: {is_limited(csp)}")
-        return EXIT_OK if report.limited else EXIT_FAILED
+        limited = is_limited(csp)
+        print(f"limited: {limited}")
+        return EXIT_OK if limited else EXIT_FAILED
     if args.closed_under:
         system = builtin_ruleset(args.closed_under)
-        closed = (
-            report.closed_bool if system.name == "BOOL" else report.closed_bool_prime
-        )
+        closed = closed_under(csp, system)
         print(f"closed under {system.name}: {closed}")
         return EXIT_OK if closed else EXIT_FAILED
-    print(f"hyper-arc consistent: {report.hyper_arc}")
-    for c, v, value in report.witnesses:
+    witnesses = hyper_arc_witnesses(csp)
+    print(f"hyper-arc consistent: {not witnesses}")
+    for c, v, value in witnesses:
         print(f"unsupported: {v.name} = {value} in {c}")
-    return EXIT_OK if report.hyper_arc else EXIT_FAILED
+    return EXIT_FAILED if witnesses else EXIT_OK
 
 
 def _cmd_gen_rules(args) -> int:
@@ -195,14 +167,20 @@ def _cmd_translate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_args(args) -> dict:
+    """The seed, and the budget only when given, so that each sweep's own
+    default is the one default budget."""
+    if args.budget is None:
+        return {"seed": args.seed}
+    return {"budget": args.budget, "seed": args.seed}
+
+
 _THEOREMS = {
     "completeness": lambda args: verify_completeness(),
     "reduction1": lambda args: verify_reduction_to_unit(),
-    "reduction2": lambda args: verify_reduction_to_rules(args.budget or 500, args.seed),
-    "characterization": lambda args: verify_characterization(
-        args.budget or 1000, args.seed
-    ),
-    "bool-prime": lambda args: verify_bool_prime(args.budget or 1000, args.seed),
+    "reduction2": lambda args: verify_reduction_to_rules(**_sweep_args(args)),
+    "characterization": lambda args: verify_characterization(**_sweep_args(args)),
+    "bool-prime": lambda args: verify_bool_prime(**_sweep_args(args)),
 }
 
 

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from boolprop.bcn import bcn_line
+from boolprop.bcn import format_bcn
 from boolprop.model import (
     EMPTY,
     FULL,
@@ -106,7 +106,7 @@ def problematic_csps() -> tuple[BooleanCSP, ...]:
 def describe_csp(csp: BooleanCSP) -> str:
     """Counterexamples are reported in single-line .bcn form so they can
     be written to a file and replayed through the CLI directly."""
-    return bcn_line(csp)
+    return "; ".join(format_bcn(csp).splitlines())
 
 
 # ---------------------------------------------------------------------------

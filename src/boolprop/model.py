@@ -200,17 +200,11 @@ class BooleanCSP:
                 if v not in self.domains:
                     raise ValueError(f"constraint {c} uses undeclared variable {v}")
 
-    def domain(self, var: Variable) -> Domain:
-        return self.domains[var]
-
     def with_domains(self, updates: Mapping[Variable, object]) -> BooleanCSP:
         new = dict(self.domains)
         for v, d in updates.items():
             new[v] = as_domain(d)
         return BooleanCSP(self.vars, new, self.constraints)
-
-    def with_constraints(self, constraints: Iterable[BoolConstraint]) -> BooleanCSP:
-        return BooleanCSP(self.vars, self.domains, frozenset(constraints))
 
 
 def bcsp(
@@ -327,16 +321,6 @@ def solutions(csp: BooleanCSP) -> frozenset[Assignment]:
     return frozenset(iter_solutions(csp))
 
 
-def has_solution(csp: BooleanCSP) -> bool:
-    return next(iter_solutions(csp), None) is not None
-
-
-def drop_solved(csp: BooleanCSP) -> BooleanCSP:
-    return csp.with_constraints(
-        c for c in csp.constraints if not is_solved(c, csp)
-    )
-
-
 def _require_same_vars(a: BooleanCSP, b: BooleanCSP) -> None:
     if a.vars != b.vars:
         raise ValueError(
@@ -348,8 +332,12 @@ def _require_same_vars(a: BooleanCSP, b: BooleanCSP) -> None:
 def is_reformulation(a: BooleanCSP, b: BooleanCSP) -> bool:
     """True when deleting solved constraints from each yields the same CSP."""
     _require_same_vars(a, b)
-    ra, rb = drop_solved(a), drop_solved(b)
-    return ra.domains == rb.domains and ra.constraints == rb.constraints
+    if a.domains != b.domains:
+        return False
+    # Under equal domains a constraint is solved in both CSPs or in
+    # neither, so the unsolved constraints agree exactly when every
+    # constraint held by only one of them is solved.
+    return all(is_solved(c, a) for c in a.constraints ^ b.constraints)
 
 
 def equivalent(a: BooleanCSP, b: BooleanCSP) -> bool:
@@ -367,8 +355,9 @@ def store_to_csp(
     both -> empty domain.  ``vars`` overrides the default first-occurrence
     variable sequence (it must cover every variable of the store).
     """
-    seq = tuple(vars) if vars is not None else store_variables(s)
-    missing = set(store_variables(s)) - set(seq)
+    occurring = store_variables(s)
+    seq = tuple(vars) if vars is not None else occurring
+    missing = set(occurring) - set(seq)
     if missing:
         raise ValueError(f"variable sequence misses {sorted(v.name for v in missing)}")
     domains = {}

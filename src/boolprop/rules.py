@@ -13,16 +13,19 @@ of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from boolprop.bcn import domain_token
 from boolprop.model import (
+    ONE,
+    ZERO,
     BoolConstraint,
     BooleanCSP,
     ConstraintKind,
     ConstraintStore,
     Literal,
+    Variable,
     constraint_sort_key,
     is_reformulation,
     truth_table,
@@ -30,6 +33,10 @@ from boolprop.model import (
 
 # A conclusion constraint pattern: kind plus role positions of the match.
 ConstraintPattern = tuple[ConstraintKind, tuple[int, ...]]
+
+# The singleton domain of a value: premises match it, conclusions
+# intersect with it.
+_SINGLETON = (ZERO, ONE)
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,6 @@ _BUILTIN = {
     "BOOL_PRIME": BOOL_PRIME,
     "bool": BOOL,
     "bool-prime": BOOL_PRIME,
-    "bool'": BOOL_PRIME,
 }
 
 
@@ -206,15 +212,42 @@ class CspStep:
     relevant: bool
 
 
-def _instantiated_conclusions(
-    r: PropagationRule, c: BoolConstraint
-) -> list[BoolConstraint]:
-    return [
-        BoolConstraint(kind, tuple(c.vars[p] for p in positions))
-        for kind, positions in sorted(
-            r.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1])
-        )
+def _sorted_patterns(r: PropagationRule) -> list[ConstraintPattern]:
+    return sorted(r.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1]))
+
+
+def _firings(
+    r: PropagationRule,
+    constraints: frozenset[BoolConstraint],
+    holds: Callable[[Variable, int], bool],
+) -> Iterator[tuple[BoolConstraint, list[tuple[Variable, int]], frozenset]]:
+    """The rule's matches among the constraints, in canonical order.
+
+    A constraint of the rule's kind matches when ``holds(variable, value)``
+    is true for each premise position.  Yields the matched constraint, the
+    concluded (variable, value) pairs, and the constraint set after firing:
+    the matched constraint dropped, kept, or replaced as described in the
+    module docstring.
+    """
+    matches = [
+        c
+        for c in sorted(constraints, key=constraint_sort_key)
+        if c.kind == r.kind and all(holds(c.vars[p], v) for p, v in r.premise)
     ]
+    if not matches:
+        return
+    patterns = _sorted_patterns(r)
+    drops = bool(patterns) or rule_discharges_constraint(r)
+    for c in matches:
+        after = set(constraints)
+        if drops:
+            after.discard(c)
+        after.update(
+            BoolConstraint(kind, tuple(c.vars[p] for p in positions))
+            for kind, positions in patterns
+        )
+        concluded = [(c.vars[p], v) for p, v in r.conclusion_assignments]
+        yield c, concluded, frozenset(after)
 
 
 def apply_rule_store(r: PropagationRule, s: ConstraintStore) -> list[StoreStep]:
@@ -226,24 +259,13 @@ def apply_rule_store(r: PropagationRule, s: ConstraintStore) -> list[StoreStep]:
     constraints are added.  Applications that would leave the store
     unchanged are omitted.
     """
+    def holds(var: Variable, value: int) -> bool:
+        return Literal(var, value == 1) in s.literals
+
     steps = []
-    for c in sorted(s.constraints, key=constraint_sort_key):
-        if c.kind != r.kind:
-            continue
-        if not all(
-            Literal(c.vars[p], v == 1) in s.literals for p, v in r.premise
-        ):
-            continue
-        literals = s.literals | {
-            Literal(c.vars[p], v == 1) for p, v in r.conclusion_assignments
-        }
-        constraints = set(s.constraints)
-        if r.conclusion_constraints:
-            constraints.discard(c)
-            constraints.update(_instantiated_conclusions(r, c))
-        elif rule_discharges_constraint(r):
-            constraints.discard(c)
-        after = ConstraintStore(frozenset(constraints), literals)
+    for c, concluded, constraints in _firings(r, s.constraints, holds):
+        literals = s.literals | {Literal(var, v == 1) for var, v in concluded}
+        after = ConstraintStore(constraints, literals)
         if after != s:
             steps.append(StoreStep(r.name, c, s, after))
     return steps
@@ -259,25 +281,15 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspStep]:
     docstring.  A step is relevant when its result is not a
     reformulation of the input.
     """
+    def holds(var: Variable, value: int) -> bool:
+        return csp.domains[var] == _SINGLETON[value]
+
     steps = []
-    for c in sorted(csp.constraints, key=constraint_sort_key):
-        if c.kind != r.kind:
-            continue
-        if not all(
-            csp.domains[c.vars[p]] == frozenset({v}) for p, v in r.premise
-        ):
-            continue
+    for c, concluded, constraints in _firings(r, csp.constraints, holds):
         domains = dict(csp.domains)
-        for p, v in r.conclusion_assignments:
-            var = c.vars[p]
-            domains[var] = domains[var] & {v}
-        constraints = set(csp.constraints)
-        if r.conclusion_constraints:
-            constraints.discard(c)
-            constraints.update(_instantiated_conclusions(r, c))
-        elif rule_discharges_constraint(r):
-            constraints.discard(c)
-        after = BooleanCSP(csp.vars, domains, frozenset(constraints))
+        for var, v in concluded:
+            domains[var] = domains[var] & _SINGLETON[v]
+        after = BooleanCSP(csp.vars, domains, constraints)
         steps.append(CspStep(r.name, c, csp, after, not is_reformulation(csp, after)))
     return steps
 
@@ -295,33 +307,23 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
 
 def close(
-    csp: BooleanCSP,
-    rs: RuleSet,
-    rng: random.Random | None = None,
-    max_steps: int = 10_000,
+    csp: BooleanCSP, rs: RuleSet, max_steps: int = 10_000
 ) -> tuple[BooleanCSP, list[CspStep]]:
     """Perform relevant applications until the CSP is closed.
 
-    The default schedule is deterministic: lowest rule index first, then
-    canonical constraint order.  Passing ``rng`` picks a random relevant
-    application instead (used to probe schedule independence).  Each
-    relevant step shrinks <total domain size, non-equality constraint
-    count> lexicographically, so this terminates.
+    The schedule is deterministic: lowest rule index first, then
+    canonical constraint order.  Each relevant step shrinks <total domain
+    size, non-equality constraint count> lexicographically, so this
+    terminates.
     """
     trace: list[CspStep] = []
     current = csp
-    while True:
-        if rng is None:
-            step = next(_relevant_steps(current, rs), None)
-        else:
-            candidates = list(_relevant_steps(current, rs))
-            step = rng.choice(candidates) if candidates else None
-        if step is None:
-            return current, trace
+    while (step := next(_relevant_steps(current, rs), None)) is not None:
         trace.append(step)
         current = step.after
         if len(trace) > max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
+    return current, trace
 
 
 def derive_store(
@@ -370,17 +372,10 @@ def format_rule(r: PropagationRule) -> str:
     concl_parts = [f"{roles[p]} = {v}" for p, v in r.conclusion_assignments]
     concl_parts += [
         _render_pattern(kind, [roles[p] for p in positions])
-        for kind, positions in sorted(
-            r.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1])
-        )
+        for kind, positions in _sorted_patterns(r)
     ]
     head = _render_pattern(r.kind, roles)
     return f"{r.name:<7} {head}, {premise} -> {', '.join(concl_parts)}"
-
-
-def domain_token(d: frozenset) -> str:
-    """Render a domain the way .bcn files spell it: 0, 1, 01 or {}."""
-    return "".join(str(v) for v in sorted(d)) if d else "{}"
 
 
 def format_csp_step(step: CspStep) -> str:
@@ -397,22 +392,3 @@ def format_csp_step(step: CspStep) -> str:
     ):
         parts.append(f"added {c}")
     return f"{step.rule} | {step.matched_constraint} | {'; '.join(parts)}"
-
-
-def format_store_step(step: StoreStep) -> str:
-    removed = step.before.difference(step.after)
-    added = step.after.difference(step.before)
-    parts = [f"- {item}" for item in removed.items()] + [
-        f"+ {item}" for item in added.items()
-    ]
-    return f"{step.rule} | {step.matched_constraint} | {'; '.join(parts)}"
-
-
-def format_trace(steps: Sequence[CspStep | StoreStep]) -> str:
-    lines = []
-    for step in steps:
-        if isinstance(step, CspStep):
-            lines.append(format_csp_step(step))
-        else:
-            lines.append(format_store_step(step))
-    return "\n".join(lines)

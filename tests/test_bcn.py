@@ -1,7 +1,7 @@
 import pytest
 
 from boolprop.bcn import BcnError, format_bcn, parse_bcn
-from boolprop.model import EMPTY, andc, bcsp, notc, variables
+from boolprop.model import EMPTY, ZERO, andc, bcsp, notc, variables
 
 X, Y, Z = variables("x y z")
 
@@ -14,6 +14,11 @@ def test_parse_worked_example():
 def test_parse_empty_domain():
     csp = parse_bcn("var x\ndom x {}\n")
     assert csp.domains[X] == EMPTY
+
+
+def test_repeated_dom_lines_intersect():
+    assert parse_bcn("var x\ndom x 1\ndom x 0\n").domains[X] == EMPTY
+    assert parse_bcn("var x\ndom x 0\ndom x 01\n").domains[X] == ZERO
 
 
 def test_parse_comments_and_blank_lines():

@@ -488,6 +488,13 @@ def test_dimacs_empty_clause():
     assert EMPTY_CLAUSE in cs
 
 
+def test_dimacs_stops_at_satlib_trailer():
+    # SATLIB files end with "%" and a lone "0", which is no empty clause
+    cs, vars = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n%\n0\n")
+    x1, x2 = vars
+    assert cs == frozenset({clause(pos(x1), pos(x2)), clause(neg(x1))})
+
+
 def test_translate_clause_set_is_deterministic():
     cs, _ = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
     assert translate_clause_set(cs) == translate_clause_set(cs)

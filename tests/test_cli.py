@@ -136,6 +136,11 @@ def test_verify_commands(capsys):
     )
 
 
+def test_verify_budget_zero_checks_no_random_instances(capsys):
+    assert run_command(["verify", "--theorem", "reduction2", "--budget", "0"]) == 0
+    assert "reduction-to-rules: 0 instances checked" in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.bcn"
     f.write_text("var x\nand x x x\n")
