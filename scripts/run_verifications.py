@@ -1,55 +1,41 @@
 #!/usr/bin/env python3
-"""Run every theorem-verification sweep and print a summary table.
+"""Run every theorem-verification sweep through the CLI and time each one.
 
 Usage: python scripts/run_verifications.py [--seed N] [--budget N]
+
+Each theorem runs as ``boolprop verify --theorem T`` with the options
+given here, so the sweeps, their default budgets and the checks on the
+options are the CLI's.  Exits 0 when every sweep passes, 3 when one
+finds a counterexample, and with the CLI's code on any other error.
 """
 
 import argparse
 import sys
 import time
 
-from boolprop.clauses import verify_reduction_to_rules, verify_reduction_to_unit
-from boolprop.consistency import (
-    verify_bool_prime,
-    verify_characterization,
-    verify_rule_necessity,
-)
-from boolprop.rulegen import verify_completeness
+from boolprop.cli import EXIT_FAILED, EXIT_OK, THEOREMS, run_command
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--seed")
+    parser.add_argument("--budget")
     args = parser.parse_args()
-    # Pass the budget only when given, so each sweep's default applies.
-    sweep = {"seed": args.seed}
+    options = []
+    if args.seed is not None:
+        options += ["--seed", args.seed]
     if args.budget is not None:
-        sweep["budget"] = args.budget
+        options += ["--budget", args.budget]
 
-    sweeps = [
-        ("completeness", lambda: verify_completeness()),
-        ("reduction to unit propagation", lambda: verify_reduction_to_unit()),
-        ("reduction to rule steps", lambda: verify_reduction_to_rules(**sweep)),
-        ("characterization", lambda: verify_characterization(**sweep)),
-        ("rule necessity", lambda: verify_rule_necessity()),
-        ("bool-prime", lambda: verify_bool_prime(**sweep)),
-    ]
-
-    all_ok = True
-    for label, run in sweeps:
+    worst = EXIT_OK
+    for theorem in THEOREMS:
         start = time.perf_counter()
-        report = run()
-        elapsed = time.perf_counter() - start
-        status = "ok" if report.ok else "FAILED"
-        print(
-            f"{label:<32} {status:<8} {report.checked:>6} instances "
-            f"{len(report.failures):>3} counterexamples  {elapsed:6.2f}s"
-        )
-        for failure in report.failures[:5]:
-            print(f"    {failure}")
-        all_ok &= report.ok
-    return 0 if all_ok else 3
+        code = run_command(["verify", "--theorem", theorem, *options])
+        print(f"  [{theorem}: exit {code}, {time.perf_counter() - start:.2f}s]")
+        if code not in (EXIT_OK, EXIT_FAILED):
+            return code
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

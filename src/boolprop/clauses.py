@@ -164,34 +164,37 @@ RESOLVE = "RESOLVE"
 SUBSUME = "SUBSUME"
 
 
+def _unit_steps(cs: ClauseSet) -> Iterator[UnitStep]:
+    units = sorted(
+        (c.unit_literal for c in cs if c.is_unit), key=literal_sort_key
+    )
+    targets = sorted(cs, key=clause_sort_key)
+    for u in units:
+        comp = u.negated()
+        for t in targets:
+            if comp in t.literals:
+                remainder = Clause(t.literals - {comp})
+                yield UnitStep(RESOLVE, u, t, (cs - {t}) | {remainder})
+    for u in units:
+        for t in targets:
+            if u in t.literals and t.literals != frozenset({u}):
+                yield UnitStep(SUBSUME, u, t, cs - {t})
+
+
 def unit_step(cs: ClauseSet) -> list[UnitStep]:
     """Every single unit-propagation step available on the clause set.
 
     Ordered resolutions first, then subsumptions, each by unit then
     target in canonical order.  A unit clause never subsumes itself.
     """
-    units = sorted(
-        (c.unit_literal for c in cs if c.is_unit), key=literal_sort_key
-    )
-    targets = sorted(cs, key=clause_sort_key)
-    steps = []
-    for u in units:
-        comp = u.negated()
-        for t in targets:
-            if comp in t.literals:
-                remainder = Clause(t.literals - {comp})
-                steps.append(UnitStep(RESOLVE, u, t, (cs - {t}) | {remainder}))
-    for u in units:
-        for t in targets:
-            if u in t.literals and t.literals != frozenset({u}):
-                steps.append(UnitStep(SUBSUME, u, t, cs - {t}))
-    return steps
+    return list(_unit_steps(cs))
 
 
 def unit_propagate(
     cs: ClauseSet, max_steps: int = 10_000
 ) -> tuple[ClauseSet, list[UnitStep]]:
-    """Run unit propagation to fixpoint under the canonical schedule.
+    """Run unit propagation to fixpoint under the canonical schedule:
+    each step is the first that ``unit_step`` would list.
 
     Stops immediately once the empty clause appears.  Raises if the step
     budget is exceeded (each step shrinks the clause multiset, so hitting
@@ -200,10 +203,9 @@ def unit_propagate(
     trace: list[UnitStep] = []
     current = cs
     while EMPTY_CLAUSE not in current:
-        steps = unit_step(current)
-        if not steps:
+        step = next(_unit_steps(current), None)
+        if step is None:
             break
-        step = steps[0]
         trace.append(step)
         current = step.result
         if len(trace) > max_steps:
@@ -227,21 +229,19 @@ class FreshVarSource:
 
     used_names: set[str]
     next_index: int
-    prefix: str = "_t"
     counter: int = 0
 
     @classmethod
-    def avoiding(cls, vars: Iterable[Variable], prefix: str = "_t") -> FreshVarSource:
+    def avoiding(cls, vars: Iterable[Variable]) -> FreshVarSource:
         vs = list(vars)
         return cls(
             used_names={v.name for v in vs},
             next_index=max((v.index for v in vs), default=-1) + 1,
-            prefix=prefix,
         )
 
     def fresh(self) -> Variable:
         while True:
-            name = f"{self.prefix}{self.counter}"
+            name = f"_t{self.counter}"
             self.counter += 1
             if name not in self.used_names:
                 break
@@ -295,14 +295,11 @@ def trans_clause(q: Clause, fresh: FreshVarSource) -> ConstraintStore:
     return ConstraintStore(part.constraints, frozenset({Literal(z, True)}))
 
 
-def translate_clause_set(
-    cs: ClauseSet, fresh: FreshVarSource | None = None
-) -> ConstraintStore:
+def translate_clause_set(cs: ClauseSet) -> ConstraintStore:
     """Translate each clause separately, in canonical clause order."""
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
-    if fresh is None:
-        fresh = FreshVarSource.avoiding(clause_set_variables(cs))
+    fresh = FreshVarSource.avoiding(clause_set_variables(cs))
     constraints: set[BoolConstraint] = set()
     literals: set[Literal] = set()
     for c in sorted(cs, key=clause_sort_key):
@@ -322,9 +319,10 @@ def _valuations(vars: Sequence[Variable]) -> Iterator[dict[Variable, int]]:
         yield dict(zip(vars, values))
 
 
-def semantically_follows(
-    c: ConstraintStore, s: ConstraintStore, max_enum_vars: int = 24
-) -> bool:
+_MAX_ENUM_VARS = 24
+
+
+def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
     """Every valuation satisfying ``s`` extends (over ``c``'s extra
     variables) to one satisfying ``c``.
 
@@ -332,7 +330,7 @@ def semantically_follows(
     computes which valuations of the shared variables admit a satisfying
     extension; if all of them do, the answer is yes without touching
     ``s``.  Otherwise ``s``'s variables are enumerated directly, which
-    requires their count to stay within ``max_enum_vars``.
+    requires their count to stay within ``_MAX_ENUM_VARS``.
     """
     c_vars = store_variables(c)
     s_vars = store_variables(s)
@@ -343,10 +341,10 @@ def semantically_follows(
             extendable.add(tuple(valuation[v] for v in shared))
     if len(extendable) == 2 ** len(shared):
         return True
-    if len(s_vars) > max_enum_vars:
+    if len(s_vars) > _MAX_ENUM_VARS:
         raise ValueError(
             f"store has {len(s_vars)} variables; brute-force check capped at "
-            f"{max_enum_vars}"
+            f"{_MAX_ENUM_VARS}"
         )
     for valuation in _valuations(s_vars):
         if store_satisfied(s, valuation):
@@ -431,45 +429,6 @@ def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep
 # ---------------------------------------------------------------------------
 # Simulation: unit step -> store-level rule steps
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _FirstTranslation:
-    """Translation of a clause with a chosen literal selected first.
-
-    ``head_or`` (and ``head_not`` for a negative selection) encode the
-    selected literal; ``remainder`` names the rest of the clause through
-    the variable ``y`` and is reused verbatim when translating the clause
-    set after the step.
-    """
-
-    whole: ConstraintStore
-    head_or: BoolConstraint
-    head_not: BoolConstraint | None
-    y: Variable
-    remainder: ConstraintStore
-
-
-def _trans_clause_first(
-    q: Clause, first: Literal, fresh: FreshVarSource
-) -> _FirstTranslation:
-    rest = [l for l in q.ordered() if l != first]
-    z = fresh.fresh()
-    head_not = None
-    if first.positive:
-        y = fresh.fresh()
-        head_or = orc(first.var, y, z)
-    else:
-        v = fresh.fresh()
-        y = fresh.fresh()
-        head_not = BoolConstraint(ConstraintKind.NOT, (first.var, v))
-        head_or = orc(v, y, z)
-    remainder = ConstraintStore(_trans_ordered(rest, y, fresh), frozenset())
-    head = {head_or} if head_not is None else {head_or, head_not}
-    whole = ConstraintStore(
-        frozenset(head) | remainder.constraints, frozenset({Literal(z, True)})
-    )
-    return _FirstTranslation(whole, head_or, head_not, y, remainder)
 
 
 def _pick_step(
@@ -568,12 +527,15 @@ def simulate_unit_by_bool(
     u = step.unit
     selected = u.negated() if step.op == RESOLVE else u
 
+    # the target goes through the trans_clause chain with the selected
+    # literal moved first, so that literal heads the chain
+    target_lits = [selected] + [l for l in step.target.ordered() if l != selected]
     parts: dict[Clause, ConstraintStore] = {}
-    target_trans: _FirstTranslation | None = None
     for q in sorted(phi1, key=clause_sort_key):
         if q == step.target and not q.is_unit:
-            target_trans = _trans_clause_first(q, selected, fresh)
-            parts[q] = target_trans.whole
+            root = fresh.fresh()
+            chain = _trans_ordered(target_lits, root, fresh)
+            parts[q] = ConstraintStore(chain, frozenset({Literal(root, True)}))
         else:
             parts[q] = trans_clause(q, fresh)
 
@@ -586,7 +548,19 @@ def simulate_unit_by_bool(
         # translated store is already inconsistent; nothing to derive
         return s1, s1, [], ConstraintStore()
 
-    assert target_trans is not None  # unit targets were handled above
+    # the head OR outputs the root; a negative selected literal enters it
+    # through a NOT onto a fresh helper; the rest of the chain says that
+    # the OR's second input equals the remainder of the clause
+    (head_or,) = (
+        c for c in chain if c.kind == ConstraintKind.OR and c.vars[2] == root
+    )
+    head_not = (
+        None
+        if selected.positive
+        else BoolConstraint(ConstraintKind.NOT, (selected.var, head_or.vars[0]))
+    )
+    remainder = chain - {head_or, head_not}
+
     # translation of the clause set after the step
     remainder_clause = (
         Clause(step.target.literals - {selected}) if step.op == RESOLVE else None
@@ -601,12 +575,8 @@ def simulate_unit_by_bool(
                     ConstraintStore(frozenset(), frozenset({q.unit_literal}))
                 )
             else:
-                s2 = s2.union(
-                    ConstraintStore(
-                        target_trans.remainder.constraints,
-                        frozenset({Literal(target_trans.y, True)}),
-                    )
-                )
+                y = head_or.vars[1]
+                s2 = s2.union(ConstraintStore(remainder, frozenset({Literal(y, True)})))
         else:  # pragma: no cover - the result contains only the above
             raise SimulationError(f"unexpected clause {q} in the step result")
 
@@ -623,23 +593,21 @@ def simulate_unit_by_bool(
     if step.op == RESOLVE:
         if not u.positive:
             # unit -x against clause x | Q: one OR 3 step exposes Q's root
-            apply("OR 3", target_trans.head_or)
+            apply("OR 3", head_or)
         else:
             # unit x against clause -x | Q: NOT 1 derives the negated helper,
             # then OR 3 exposes Q's root
-            assert target_trans.head_not is not None
-            apply("NOT 1", target_trans.head_not)
-            apply("OR 3", target_trans.head_or)
+            apply("NOT 1", head_not)
+            apply("OR 3", head_or)
         if remainder_clause is not None and remainder_clause.is_unit:
-            (q_con,) = target_trans.remainder.constraints
+            (q_con,) = remainder
             apply("EQU 2" if q_con.kind == ConstraintKind.EQ else "NOT 3", q_con)
     else:  # SUBSUME
         if u.positive:
-            apply("OR 1", target_trans.head_or)
+            apply("OR 1", head_or)
         else:
-            assert target_trans.head_not is not None
-            apply("NOT 2", target_trans.head_not)
-            apply("OR 1", target_trans.head_or)
+            apply("NOT 2", head_not)
+            apply("OR 1", head_or)
 
     if len(derivation) > 3:
         raise SimulationError(f"replay took {len(derivation)} rule steps (bound is 3)")
@@ -729,13 +697,14 @@ def verify_reduction_to_rules(budget: int = 500, seed: int = 0) -> SweepReport:
 def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     """Read DIMACS CNF; returns the clause set and the variable sequence.
 
-    Variables are named x1..xn.  Comment lines start with ``c``; the
-    ``p cnf`` header is honoured for the variable count but clause counts
-    are not enforced.  A line starting with ``%`` ends the input, as in
-    the SATLIB files that close with ``%`` and a lone ``0``.
+    Variables are named x1..xn.  Comment lines start with ``c``.  The
+    ``p cnf`` header fixes the variable count, and a literal above it is
+    an error; without a header the count is the highest literal.  Clause
+    counts are not enforced.  A line starting with ``%`` ends the input,
+    as in the SATLIB files that close with ``%`` and a lone ``0``.
     """
-    declared = 0
-    tokens: list[int] = []
+    declared: int | None = None
+    tokens: list[tuple[int, int]] = []  # (line number, literal)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -746,22 +715,26 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
             fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
-            try:
-                declared = int(fields[2])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad variable count") from None
+            if not fields[2].isdecimal():
+                raise ValueError(f"line {lineno}: bad variable count")
+            declared = int(fields[2])
             continue
         for tok in stripped.split():
             try:
-                tokens.append(int(tok))
+                tokens.append((lineno, int(tok)))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
-    highest = max((abs(t) for t in tokens), default=0)
-    n = max(declared, highest)
-    vars = tuple(Variable(f"x{i+1}", i) for i in range(n))
+    if declared is None:
+        declared = max((abs(t) for _, t in tokens), default=0)
+    vars = tuple(Variable(f"x{i+1}", i) for i in range(declared))
     clauses = set()
     acc: list[Literal] = []
-    for t in tokens:
+    for lineno, t in tokens:
+        if abs(t) > declared:
+            raise ValueError(
+                f"line {lineno}: literal {t} exceeds the {declared} variables "
+                "of the p cnf line"
+            )
         if t == 0:
             clauses.add(Clause(frozenset(acc)))
             acc = []

@@ -71,16 +71,9 @@ def _looks_like_dimacs(text: str) -> bool:
     return False
 
 
-def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
-    """Read a .bcn or DIMACS problem file.
-
-    Returns the CSP and the variables to report a model on: the original
-    clause variables for DIMACS input, which goes through the standard
-    clause-to-constraint translation, and () for .bcn input.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    if not _looks_like_dimacs(text):
-        return parse_bcn(text), ()
+def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
+    """The CSP of a DIMACS file through the standard clause-to-constraint
+    translation, and the clause variables in declaration order."""
     clauses, clause_vars = parse_dimacs(text)
     csp = store_to_csp(translate_clause_set(clauses - {EMPTY_CLAUSE}))
     # variables mentioned in no clause stay unconstrained
@@ -91,6 +84,18 @@ def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
         vars += (false_var,)
         domains[false_var] = EMPTY
     return BooleanCSP(vars, domains, csp.constraints), clause_vars
+
+
+def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
+    """Read a .bcn or DIMACS problem file.
+
+    Returns the CSP and the variables to report a model on: the original
+    clause variables for DIMACS input and () for .bcn input.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    if not _looks_like_dimacs(text):
+        return parse_bcn(text), ()
+    return _dimacs_csp(text)
 
 
 def _cmd_solve(args) -> int:
@@ -161,8 +166,7 @@ def _cmd_translate(args) -> int:
         clauses = constraints_to_clauses(csp_to_store(csp))
         print(format_dimacs(clauses, csp.vars), end="")
         return EXIT_OK
-    clauses, _ = parse_dimacs(text)
-    csp = store_to_csp(translate_clause_set(clauses))
+    csp, _ = _dimacs_csp(text)
     print(format_bcn(csp), end="")
     return EXIT_OK
 
@@ -175,7 +179,14 @@ def _sweep_args(args) -> dict:
     return {"budget": args.budget, "seed": args.seed}
 
 
-_THEOREMS = {
+def _budget(text: str) -> int:
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {budget}")
+    return budget
+
+
+THEOREMS = {
     "completeness": lambda args: verify_completeness(),
     "reduction1": lambda args: verify_reduction_to_unit(),
     "reduction2": lambda args: verify_reduction_to_rules(**_sweep_args(args)),
@@ -185,7 +196,7 @@ _THEOREMS = {
 
 
 def _cmd_verify(args) -> int:
-    report = _THEOREMS[args.theorem](args)
+    report = THEOREMS[args.theorem](args)
     print(report.summary())
     if args.theorem == "characterization":
         necessity = verify_rule_necessity()
@@ -247,10 +258,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theorem",
         required=True,
-        choices=sorted(_THEOREMS),
+        choices=sorted(THEOREMS),
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -43,9 +43,6 @@ Witness = tuple[BoolConstraint, Variable, int]
 class ConsistencyReport:
     hyper_arc: bool
     failed: bool
-    limited: bool
-    closed_bool: bool
-    closed_bool_prime: bool
     witnesses: tuple[Witness, ...]
 
 
@@ -66,9 +63,6 @@ def hyper_arc_consistent(csp: BooleanCSP) -> ConsistencyReport:
     return ConsistencyReport(
         hyper_arc=not witnesses,
         failed=is_failed(csp),
-        limited=is_limited(csp),
-        closed_bool=closed_under(csp, BOOL),
-        closed_bool_prime=closed_under(csp, BOOL_PRIME),
         witnesses=witnesses,
     )
 

@@ -1,10 +1,11 @@
 """Decision procedure: propagate to closure, split on the first open variable.
 
-Splitting is depth-first in declaration order, trying 1 before 0.  A
-closed non-failed CSP with all domains singleton is a solution (closure
-makes every constraint supported at every domain value), so search stops
-there; the model is re-checked against the constraint relations as a
-guard against engine bugs.
+Splitting is depth-first in declaration order, trying 1 before 0, over
+a list of pending branches, so search depth is not bounded by the Python
+stack.  A closed non-failed CSP with all domains singleton is a solution
+(closure makes every constraint supported at every domain value), so
+search stops there; the model is re-checked against the constraint
+relations as a guard against engine bugs.
 """
 
 from __future__ import annotations
@@ -55,27 +56,26 @@ def solve(
     """
     propagations = 0
     splits = 0
-
-    def search(current: BooleanCSP) -> Assignment | None:
-        nonlocal propagations, splits
-        closed, steps = close(current, system)
+    model = None
+    # depth-first: the last branch pushed is searched next, so each split
+    # pushes its 0-branch below its 1-branch; a branch is a CSP and the
+    # domain update to apply to it, built only once the branch is popped
+    pending = [(csp, {})]
+    while pending:
+        base, update = pending.pop()
+        closed, steps = close(base.with_domains(update), system)
         propagations += len(steps)
         if trace is not None:
             trace.extend(steps)
         if is_failed(closed):
-            return None
+            continue
         open_var = next(
             (v for v in closed.vars if len(closed.domains[v]) == 2), None
         )
         if open_var is None:
-            return _model_of(closed)
+            model = _model_of(closed)
+            break
         splits += 1
-        for value in (1, 0):
-            found = search(closed.with_domains({open_var: value}))
-            if found is not None:
-                return found
-        return None
-
-    model = search(csp)
+        pending += [(closed, {open_var: 0}), (closed, {open_var: 1})]
     status = SAT if model is not None else UNSAT
     return SolveResult(status, model, propagations, splits)

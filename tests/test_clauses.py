@@ -139,6 +139,16 @@ def test_unit_propagate_stops_on_empty_clause():
     assert EMPTY_CLAUSE in fixpoint
 
 
+@given(clause_sets(max_vars=5, max_clauses=7))
+@settings(max_examples=150)
+def test_unit_propagate_takes_the_first_listed_step(cs):
+    trace, current = [], cs
+    while EMPTY_CLAUSE not in current and unit_step(current):
+        trace.append(unit_step(current)[0])
+        current = trace[-1].result
+    assert unit_propagate(cs) == (current, trace)
+
+
 @given(clause_sets(max_vars=4))
 @settings(max_examples=150)
 def test_unit_steps_preserve_satisfying_assignments(cs):
@@ -493,6 +503,18 @@ def test_dimacs_stops_at_satlib_trailer():
     cs, vars = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n%\n0\n")
     x1, x2 = vars
     assert cs == frozenset({clause(pos(x1), pos(x2)), clause(neg(x1))})
+
+
+def test_dimacs_header_bounds_the_literals():
+    with pytest.raises(ValueError, match="line 3: literal 3 exceeds the 2"):
+        parse_dimacs("c two variables\np cnf 2 1\n1 3 0\n")
+    with pytest.raises(ValueError, match="line 1: literal -4 exceeds"):
+        parse_dimacs("1 -4 0\np cnf 3 1\n")
+    with pytest.raises(ValueError, match="line 1: bad variable count"):
+        parse_dimacs("p cnf -1 1\n0\n")
+    # without a header the highest literal sets the count
+    _, vars = parse_dimacs("1 3 0\n")
+    assert [v.name for v in vars] == ["x1", "x2", "x3"]
 
 
 def test_translate_clause_set_is_deterministic():

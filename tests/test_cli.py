@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from boolprop.cli import run_command
@@ -114,6 +116,38 @@ def test_translate_roundtrip(example, cnf, tmp_path, capsys):
     assert out.startswith("var ")
 
 
+def test_translate_to_bcn_keeps_the_empty_clause(tmp_path, capsys):
+    f = tmp_path / "e.cnf"
+    f.write_text("p cnf 3 2\n1 2 0\n0\n")
+    assert run_command(["translate", "--to-bcn", str(f)]) == 0
+    assert "dom _false {}" in capsys.readouterr().out
+
+
+def test_translate_to_bcn_keeps_declared_variables(tmp_path, capsys):
+    f = tmp_path / "d.cnf"
+    f.write_text("p cnf 3 1\n1 2 0\n")
+    assert run_command(["translate", "--to-bcn", str(f)]) == 0
+    (var_line,) = [
+        l for l in capsys.readouterr().out.splitlines() if l.startswith("var ")
+    ]
+    assert "x3" in var_line.split()
+
+
+def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "w.cnf"
+    f.write_text("p cnf 2 1\n1 3 0\n")
+    assert run_command(["solve", str(f)]) == 2
+    assert "line 2: literal 3 exceeds" in capsys.readouterr().err
+
+
+def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 100
+    f = tmp_path / "free.bcn"
+    f.write_text("var " + " ".join(f"v{i}" for i in range(n)) + "\n")
+    assert run_command(["solve", str(f)]) == 0
+    assert f"splits: {n}" in capsys.readouterr().out
+
+
 def test_verify_commands(capsys):
     assert run_command(["verify", "--theorem", "completeness"]) == 0
     assert "0 counterexamples" in capsys.readouterr().out
@@ -139,6 +173,11 @@ def test_verify_commands(capsys):
 def test_verify_budget_zero_checks_no_random_instances(capsys):
     assert run_command(["verify", "--theorem", "reduction2", "--budget", "0"]) == 0
     assert "reduction-to-rules: 0 instances checked" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_negative_budget(capsys):
+    assert run_command(["verify", "--theorem", "bool-prime", "--budget", "-5"]) == 2
+    assert "must not be negative" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
