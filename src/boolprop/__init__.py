@@ -42,6 +42,7 @@ from boolprop.model import (
 from boolprop.rules import (
     BOOL,
     BOOL_PRIME,
+    CspApplication,
     CspStep,
     PropagationRule,
     RuleSet,
@@ -62,6 +63,7 @@ __all__ = [
     "BooleanCSP",
     "ConstraintKind",
     "ConstraintStore",
+    "CspApplication",
     "CspStep",
     "Domain",
     "Literal",

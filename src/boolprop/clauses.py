@@ -698,10 +698,11 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     """Read DIMACS CNF; returns the clause set and the variable sequence.
 
     Variables are named x1..xn.  Comment lines start with ``c``.  The
-    ``p cnf`` header fixes the variable count, and a literal above it is
-    an error; without a header the count is the highest literal.  Clause
-    counts are not enforced.  A line starting with ``%`` ends the input,
-    as in the SATLIB files that close with ``%`` and a lone ``0``.
+    ``p cnf`` header fixes the variable count, and a literal above it or
+    a second header is an error; without a header the count is the
+    highest literal.  Clause counts are not enforced.  A line starting
+    with ``%`` ends the input, as in the SATLIB files that close with
+    ``%`` and a lone ``0``.
     """
     declared: int | None = None
     tokens: list[tuple[int, int]] = []  # (line number, literal)
@@ -715,6 +716,8 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
             fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
+            if declared is not None:
+                raise ValueError(f"line {lineno}: second p cnf line")
             if not fields[2].isdecimal():
                 raise ValueError(f"line {lineno}: bad variable count")
             declared = int(fields[2])

@@ -8,6 +8,7 @@ Exit codes: 0 = SAT / property holds, 3 = UNSAT / check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -206,7 +207,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps
+    no state between calls, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="boolprop",
         description="Boolean constraint propagation solver and verifier",

@@ -294,10 +294,18 @@ def restricted_relation(c: BoolConstraint, csp: BooleanCSP) -> frozenset[tuple[i
 
 def is_solved(c: BoolConstraint, csp: BooleanCSP) -> bool:
     """True when the restricted relation equals the full domain product."""
+    return solved_in(c, csp.domains)
+
+
+def solved_in(c: BoolConstraint, domains: Mapping[Variable, Domain]) -> bool:
+    """``is_solved`` over a bare domain map, for engines that keep one."""
+    doms = [domains[v] for v in c.vars]
     size = 1
-    for v in c.vars:
-        size *= len(csp.domains[v])
-    return len(restricted_relation(c, csp)) == size
+    for d in doms:
+        size *= len(d)
+    return size == sum(
+        all(x in d for x, d in zip(t, doms)) for t in truth_table(c.kind)
+    )
 
 
 def is_failed(csp: BooleanCSP) -> bool:

@@ -13,8 +13,19 @@ of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import (
+    AbstractSet,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from boolprop.bcn import domain_token
 from boolprop.model import (
@@ -24,10 +35,12 @@ from boolprop.model import (
     BooleanCSP,
     ConstraintKind,
     ConstraintStore,
+    Domain,
     Literal,
     Variable,
     constraint_sort_key,
     is_reformulation,
+    solved_in,
     truth_table,
 )
 
@@ -109,10 +122,41 @@ def rule_discharges_constraint(r: PropagationRule) -> bool:
     return len(matching) == 2 ** len(free)
 
 
+class _CompiledRule(NamedTuple):
+    """What matching a rule on a CSP needs, worked out once per rule set."""
+
+    index: int  # position in the rule set: the schedule's first key
+    name: str
+    premise: tuple[tuple[int, Domain], ...]  # (position, required singleton)
+    conclusion: tuple[tuple[int, Domain], ...]  # (position, singleton to meet)
+    patterns: tuple[ConstraintPattern, ...]  # replacement constraints
+    drops: bool  # firing removes the matched constraint
+
+
 @dataclass(frozen=True)
 class RuleSet:
     name: str
     rules: tuple[PropagationRule, ...]
+
+    @cached_property
+    def _by_kind(self) -> dict[ConstraintKind, tuple[_CompiledRule, ...]]:
+        """The compiled rules of each constraint kind, in rule order.
+
+        Built on first use and kept on this instance, so that a reduced
+        set from ``without`` is freed together with its compiled rules.
+        """
+        out: dict[ConstraintKind, list[_CompiledRule]] = {k: [] for k in ConstraintKind}
+        for index, r in enumerate(self.rules):
+            patterns = tuple(_sorted_patterns(r))
+            out[r.kind].append(_CompiledRule(
+                index,
+                r.name,
+                tuple((p, _SINGLETON[v]) for p, v in r.premise),
+                tuple((p, _SINGLETON[v]) for p, v in r.conclusion_assignments),
+                patterns,
+                bool(patterns) or rule_discharges_constraint(r),
+            ))
+        return {k: tuple(rules) for k, rules in out.items()}
 
     def by_name(self, rule_name: str) -> PropagationRule:
         for r in self.rules:
@@ -204,12 +248,26 @@ class StoreStep:
 
 
 @dataclass(frozen=True)
-class CspStep:
+class CspApplication:
+    """One application of a rule to a CSP, with the CSPs on both sides."""
+
     rule: str
     matched_constraint: BoolConstraint
     before: BooleanCSP
     after: BooleanCSP
     relevant: bool
+
+
+@dataclass(frozen=True)
+class CspStep:
+    """One relevant step of a closure, as the change it made."""
+
+    rule: str
+    matched_constraint: BoolConstraint
+    # (variable, domain before, domain after), in declaration order
+    domain_changes: tuple[tuple[Variable, Domain, Domain], ...]
+    dropped: bool  # the matched constraint was removed
+    added: tuple[BoolConstraint, ...]  # new constraints, in canonical order
 
 
 def _sorted_patterns(r: PropagationRule) -> list[ConstraintPattern]:
@@ -271,7 +329,7 @@ def apply_rule_store(r: PropagationRule, s: ConstraintStore) -> list[StoreStep]:
     return steps
 
 
-def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspStep]:
+def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspApplication]:
     """All applications of the rule to a CSP, in canonical match order.
 
     A constraint matches when each premise position's domain is exactly
@@ -280,6 +338,9 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspStep]:
     constraint is dropped, kept, or replaced as described in the module
     docstring.  A step is relevant when its result is not a
     reformulation of the input.
+
+    This is the specification of a single step; ``close`` and
+    ``closed_under`` decide the same matches and relevance incrementally.
     """
     def holds(var: Variable, value: int) -> bool:
         return csp.domains[var] == _SINGLETON[value]
@@ -290,40 +351,132 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspStep]:
         for var, v in concluded:
             domains[var] = domains[var] & _SINGLETON[v]
         after = BooleanCSP(csp.vars, domains, constraints)
-        steps.append(CspStep(r.name, c, csp, after, not is_reformulation(csp, after)))
+        steps.append(
+            CspApplication(r.name, c, csp, after, not is_reformulation(csp, after))
+        )
     return steps
 
 
-def _relevant_steps(csp: BooleanCSP, rs: RuleSet) -> Iterator[CspStep]:
-    for r in rs.rules:
-        for step in apply_rule_csp(r, csp):
-            if step.relevant:
-                yield step
+def _relevant_change(
+    cr: _CompiledRule,
+    c: BoolConstraint,
+    domains: Mapping[Variable, Domain],
+    constraints: AbstractSet[BoolConstraint],
+) -> tuple[list[tuple[Variable, Domain, Domain]], list[BoolConstraint]] | None:
+    """What a relevant application of the rule to ``c`` would change.
+
+    Returns the (variable, before, after) domain changes in conclusion
+    order and the replacement constraints not yet present, or None when
+    the premise does not hold or the application is not relevant.  The
+    application changes only those domains, the matched constraint and
+    those constraints, so it is relevant (its result is not a
+    reformulation) exactly when it shrinks a domain or drops or adds an
+    unsolved constraint, which is what this tests.
+    """
+    vs = c.vars
+    for p, value in cr.premise:
+        if domains[vs[p]] != value:
+            return None
+    changes = []
+    for p, value in cr.conclusion:
+        d = domains[vs[p]]
+        if not d <= value:
+            changes.append((vs[p], d, d & value))
+    added = [
+        a
+        for a in (BoolConstraint(k, tuple(vs[p] for p in ps)) for k, ps in cr.patterns)
+        if a not in constraints
+    ]
+    if (
+        changes
+        or (cr.drops and not solved_in(c, domains))
+        or any(not solved_in(a, domains) for a in added)
+    ):
+        return changes, added
+    return None
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
     """True iff no rule of the set has a relevant application."""
-    return next(_relevant_steps(csp, rs), None) is None
+    by_kind = rs._by_kind
+    return all(
+        _relevant_change(cr, c, csp.domains, csp.constraints) is None
+        for c in csp.constraints
+        for cr in by_kind[c.kind]
+    )
 
 
 def close(
-    csp: BooleanCSP, rs: RuleSet, max_steps: int = 10_000
+    csp: BooleanCSP, rs: RuleSet, max_steps: int | None = None
 ) -> tuple[BooleanCSP, list[CspStep]]:
     """Perform relevant applications until the CSP is closed.
 
     The schedule is deterministic: lowest rule index first, then
-    canonical constraint order.  Each relevant step shrinks <total domain
-    size, non-equality constraint count> lexicographically, so this
-    terminates.
+    canonical constraint order.  Each relevant step shrinks a domain,
+    which can happen 2|V| times, or replaces an AND or OR constraint by
+    an equality, which can happen |C| times; ``max_steps`` defaults to
+    that bound, and exceeding it raises RuntimeError.
+
+    Candidate (rule index, constraint key) pairs wait on a heap and are
+    checked again when popped.  A step can only make applications on
+    the matched constraint's variables relevant, since its domain
+    changes and its dropped and added constraints all lie there, so
+    only the constraints on those variables are scanned again.  The heap
+    thus holds every relevant application, and its least one that is
+    still relevant is the one the schedule picks.
     """
+    if max_steps is None:
+        max_steps = 2 * len(csp.vars) + len(csp.constraints)
+    by_kind = rs._by_kind
+    domains = dict(csp.domains)
+    constraints = set(csp.constraints)
+    occurs: dict[Variable, set[BoolConstraint]] = {v: set() for v in csp.vars}
+    for c in constraints:
+        for v in c.vars:
+            occurs[v].add(c)
+    heap: list = []
+    tiebreak = itertools.count()  # never compare constraints on the heap
+
+    def scan(c: BoolConstraint) -> None:
+        for cr in by_kind[c.kind]:
+            if _relevant_change(cr, c, domains, constraints) is not None:
+                entry = (cr.index, constraint_sort_key(c), next(tiebreak), cr, c)
+                heapq.heappush(heap, entry)
+
+    for c in constraints:
+        scan(c)
+    position: dict[Variable, int] = {}
     trace: list[CspStep] = []
-    current = csp
-    while (step := next(_relevant_steps(current, rs), None)) is not None:
-        trace.append(step)
-        current = step.after
-        if len(trace) > max_steps:
+    while heap:
+        *_, cr, c = heapq.heappop(heap)
+        change = c in constraints and _relevant_change(cr, c, domains, constraints)
+        if not change:
+            continue
+        if len(trace) == max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
-    return current, trace
+        changes, added = change
+        for v, _, d in changes:
+            domains[v] = d
+        if len(changes) > 1:  # in declaration order
+            if not position:
+                position = {v: i for i, v in enumerate(csp.vars)}
+            changes.sort(key=lambda change: position[change[0]])
+        if cr.drops:
+            constraints.discard(c)
+            for v in c.vars:
+                occurs[v].discard(c)
+        for a in added:
+            constraints.add(a)
+            for v in a.vars:
+                occurs[v].add(a)
+        added.sort(key=constraint_sort_key)
+        trace.append(CspStep(cr.name, c, tuple(changes), cr.drops, tuple(added)))
+        touched = c.vars if cr.drops else [v for v, _, _ in changes]
+        for c2 in {c2 for v in touched for c2 in occurs[v]}:
+            scan(c2)
+    if not trace:
+        return csp, trace
+    return BooleanCSP(csp.vars, domains, frozenset(constraints)), trace
 
 
 def derive_store(
@@ -380,15 +533,11 @@ def format_rule(r: PropagationRule) -> str:
 
 def format_csp_step(step: CspStep) -> str:
     """``<rule> | <matched constraint> | <domain changes and constraint fate>``."""
-    parts = []
-    for v in step.before.vars:
-        b, a = step.before.domains[v], step.after.domains[v]
-        if b != a:
-            parts.append(f"{v.name}: {domain_token(b)} -> {domain_token(a)}")
-    if step.matched_constraint not in step.after.constraints:
+    parts = [
+        f"{v.name}: {domain_token(before)} -> {domain_token(after)}"
+        for v, before, after in step.domain_changes
+    ]
+    if step.dropped:
         parts.append(f"dropped {step.matched_constraint}")
-    for c in sorted(
-        step.after.constraints - step.before.constraints, key=constraint_sort_key
-    ):
-        parts.append(f"added {c}")
+    parts += [f"added {c}" for c in step.added]
     return f"{step.rule} | {step.matched_constraint} | {'; '.join(parts)}"

@@ -517,6 +517,11 @@ def test_dimacs_header_bounds_the_literals():
     assert [v.name for v in vars] == ["x1", "x2", "x3"]
 
 
+def test_dimacs_rejects_a_second_header():
+    with pytest.raises(ValueError, match="line 3: second p cnf line"):
+        parse_dimacs("p cnf 2 1\nc widen\np cnf 5 1\n1 5 0\n")
+
+
 def test_translate_clause_set_is_deterministic():
     cs, _ = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
     assert translate_clause_set(cs) == translate_clause_set(cs)

@@ -71,6 +71,45 @@ def test_propagate_trace(example, capsys):
     assert "NOT 1 | not x y | y: 01 -> 0; dropped not x y" in out
 
 
+def test_propagate_bool_prime_trace_is_stable(tmp_path, capsys):
+    f = tmp_path / "replace.bcn"
+    f.write_text("var w x y z\ndom w 0\ndom x 1\nand x y z\neq w y\n")
+    assert run_command(["propagate", str(f), "--system", "bool-prime", "--trace"]) == 0
+    assert capsys.readouterr().out == (
+        "EQU 3 | eq w y | y: 01 -> 0; dropped eq w y\n"
+        "AND 1' | and x y z | dropped and x y z; added eq y z\n"
+        "EQU 3 | eq y z | z: 01 -> 0; dropped eq y z\n"
+        "var w x y z\n"
+        "dom w 0\n"
+        "dom x 1\n"
+        "dom y 0\n"
+        "dom z 0\n"
+        "# steps: 3\n"
+    )
+
+
+def test_propagate_long_chain_fits_the_step_cap(tmp_path, capsys):
+    n = 12_000
+    f = tmp_path / "chain.bcn"
+    f.write_text(
+        "var " + " ".join(f"x{i}" for i in range(n + 1)) + "\ndom x0 1\n"
+        + "".join(f"eq x{i} x{i + 1}\n" for i in range(n))
+    )
+    assert run_command(["propagate", str(f)]) == 0
+    assert capsys.readouterr().out.endswith(f"dom x{n} 1\n# steps: {n}\n")
+
+
+def test_run_command_calls_are_independent(example, capsys):
+    assert run_command(["solve", example, "--trace"]) == 0
+    traced = capsys.readouterr().out
+    assert run_command(["solve", example]) == 0
+    plain = capsys.readouterr().out
+    assert "NOT 1 | not x y" in traced
+    assert plain == "".join(
+        line for line in traced.splitlines(keepends=True) if " | " not in line
+    )
+
+
 def test_check_hyper_arc_violation(tmp_path, capsys):
     f = tmp_path / "failed.bcn"
     f.write_text("var x y z\ndom x {}\nand x y z\n")
@@ -138,6 +177,13 @@ def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
     f.write_text("p cnf 2 1\n1 3 0\n")
     assert run_command(["solve", str(f)]) == 2
     assert "line 2: literal 3 exceeds" in capsys.readouterr().err
+
+
+def test_dimacs_second_header_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "h.cnf"
+    f.write_text("p cnf 2 1\np cnf 5 1\n1 5 0\n")
+    assert run_command(["solve", str(f)]) == 2
+    assert "line 2: second p cnf line" in capsys.readouterr().err
 
 
 def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -224,6 +224,16 @@ def test_trace_format_is_stable():
     )
 
 
+def test_trace_lists_domain_changes_in_declaration_order():
+    # declared a, b, z; neither role order nor variable index is that order
+    b, a = variables("b a")
+    csp = bcsp((a, b, Z), {Z: 1}, [andc(b, a, Z)])
+    _, trace = close(csp, BOOL)
+    assert format_csp_step(trace[0]) == (
+        "AND 6 | and b a z | a: 01 -> 1; b: 01 -> 1; dropped and b a z"
+    )
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
