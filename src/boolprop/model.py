@@ -200,6 +200,23 @@ class BooleanCSP:
                 if v not in self.domains:
                     raise ValueError(f"constraint {c} uses undeclared variable {v}")
 
+    @classmethod
+    def _of_valid_parts(
+        cls,
+        vars: tuple[Variable, ...],
+        domains: dict[Variable, Domain],
+        constraints: frozenset[BoolConstraint],
+    ) -> BooleanCSP:
+        """A CSP from parts that already pass ``__post_init__``, unchecked.
+
+        For engines that build many small CSPs from a valid one.
+        """
+        csp = object.__new__(cls)
+        object.__setattr__(csp, "vars", vars)
+        object.__setattr__(csp, "domains", domains)
+        object.__setattr__(csp, "constraints", constraints)
+        return csp
+
     def with_domains(self, updates: Mapping[Variable, object]) -> BooleanCSP:
         new = dict(self.domains)
         for v, d in updates.items():
@@ -294,12 +311,7 @@ def restricted_relation(c: BoolConstraint, csp: BooleanCSP) -> frozenset[tuple[i
 
 def is_solved(c: BoolConstraint, csp: BooleanCSP) -> bool:
     """True when the restricted relation equals the full domain product."""
-    return solved_in(c, csp.domains)
-
-
-def solved_in(c: BoolConstraint, domains: Mapping[Variable, Domain]) -> bool:
-    """``is_solved`` over a bare domain map, for engines that keep one."""
-    doms = [domains[v] for v in c.vars]
+    doms = [csp.domains[v] for v in c.vars]
     size = 1
     for d in doms:
         size *= len(d)

@@ -40,7 +40,6 @@ from boolprop.model import (
     Variable,
     constraint_sort_key,
     is_reformulation,
-    solved_in,
     truth_table,
 )
 
@@ -77,6 +76,18 @@ class PropagationRule:
             for p in positions:
                 if not 0 <= p < arity:
                     raise ValueError(f"{self.name}: pattern position {p} out of range")
+
+    @cached_property
+    def patterns(self) -> tuple[ConstraintPattern, ...]:
+        """The replacement constraint patterns, in kind and position order."""
+        return tuple(
+            sorted(self.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1]))
+        )
+
+    @cached_property
+    def drops(self) -> bool:
+        """Whether firing removes the matched constraint."""
+        return bool(self.patterns) or rule_discharges_constraint(self)
 
     @property
     def premise_map(self) -> dict[int, int]:
@@ -123,14 +134,12 @@ def rule_discharges_constraint(r: PropagationRule) -> bool:
 
 
 class _CompiledRule(NamedTuple):
-    """What matching a rule on a CSP needs, worked out once per rule set."""
+    """A rule with its premise and conclusion as singleton domains."""
 
     index: int  # position in the rule set: the schedule's first key
-    name: str
+    rule: PropagationRule
     premise: tuple[tuple[int, Domain], ...]  # (position, required singleton)
     conclusion: tuple[tuple[int, Domain], ...]  # (position, singleton to meet)
-    patterns: tuple[ConstraintPattern, ...]  # replacement constraints
-    drops: bool  # firing removes the matched constraint
 
 
 @dataclass(frozen=True)
@@ -147,14 +156,11 @@ class RuleSet:
         """
         out: dict[ConstraintKind, list[_CompiledRule]] = {k: [] for k in ConstraintKind}
         for index, r in enumerate(self.rules):
-            patterns = tuple(_sorted_patterns(r))
             out[r.kind].append(_CompiledRule(
                 index,
-                r.name,
+                r,
                 tuple((p, _SINGLETON[v]) for p, v in r.premise),
                 tuple((p, _SINGLETON[v]) for p, v in r.conclusion_assignments),
-                patterns,
-                bool(patterns) or rule_discharges_constraint(r),
             ))
         return {k: tuple(rules) for k, rules in out.items()}
 
@@ -270,10 +276,6 @@ class CspStep:
     added: tuple[BoolConstraint, ...]  # new constraints, in canonical order
 
 
-def _sorted_patterns(r: PropagationRule) -> list[ConstraintPattern]:
-    return sorted(r.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1]))
-
-
 def _firings(
     r: PropagationRule,
     constraints: frozenset[BoolConstraint],
@@ -292,17 +294,13 @@ def _firings(
         for c in sorted(constraints, key=constraint_sort_key)
         if c.kind == r.kind and all(holds(c.vars[p], v) for p, v in r.premise)
     ]
-    if not matches:
-        return
-    patterns = _sorted_patterns(r)
-    drops = bool(patterns) or rule_discharges_constraint(r)
     for c in matches:
         after = set(constraints)
-        if drops:
+        if r.drops:
             after.discard(c)
         after.update(
             BoolConstraint(kind, tuple(c.vars[p] for p in positions))
-            for kind, positions in patterns
+            for kind, positions in r.patterns
         )
         concluded = [(c.vars[p], v) for p, v in r.conclusion_assignments]
         yield c, concluded, frozenset(after)
@@ -357,21 +355,18 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspApplication]:
     return steps
 
 
-def _relevant_change(
+def _change(
     cr: _CompiledRule,
     c: BoolConstraint,
     domains: Mapping[Variable, Domain],
     constraints: AbstractSet[BoolConstraint],
 ) -> tuple[list[tuple[Variable, Domain, Domain]], list[BoolConstraint]] | None:
-    """What a relevant application of the rule to ``c`` would change.
+    """What applying the rule to ``c`` would change.
 
     Returns the (variable, before, after) domain changes in conclusion
     order and the replacement constraints not yet present, or None when
-    the premise does not hold or the application is not relevant.  The
-    application changes only those domains, the matched constraint and
-    those constraints, so it is relevant (its result is not a
-    reformulation) exactly when it shrinks a domain or drops or adds an
-    unsolved constraint, which is what this tests.
+    the premise does not hold or the application would leave the CSP as
+    it is: no domain shrinks, ``c`` is kept and nothing is added.
     """
     vs = c.vars
     for p, value in cr.premise:
@@ -382,28 +377,50 @@ def _relevant_change(
         d = domains[vs[p]]
         if not d <= value:
             changes.append((vs[p], d, d & value))
+    r = cr.rule
     added = [
         a
-        for a in (BoolConstraint(k, tuple(vs[p] for p in ps)) for k, ps in cr.patterns)
+        for a in (BoolConstraint(k, tuple(vs[p] for p in ps)) for k, ps in r.patterns)
         if a not in constraints
     ]
-    if (
-        changes
-        or (cr.drops and not solved_in(c, domains))
-        or any(not solved_in(a, domains) for a in added)
-    ):
+    if changes or added or r.drops:
         return changes, added
     return None
+
+
+def _is_relevant(
+    r: PropagationRule,
+    c: BoolConstraint,
+    changes: list[tuple[Variable, Domain, Domain]],
+    added: list[BoolConstraint],
+    domains: Mapping[Variable, Domain],
+) -> bool:
+    """Whether the change leaves a CSP that is not a reformulation.
+
+    Only the domains of ``c``'s variables, ``c`` itself and the added
+    constraints, which lie on ``c``'s variables, differ between the CSP
+    and its successor, so ``is_reformulation`` is asked about both cut
+    down to those.
+    """
+    before = {v: domains[v] for v in c.vars}
+    after = before | {v: d for v, _, d in changes}
+    return not is_reformulation(
+        BooleanCSP._of_valid_parts(c.vars, before, frozenset((c,))),
+        BooleanCSP._of_valid_parts(
+            c.vars, after, frozenset(added if r.drops else (c, *added))
+        ),
+    )
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
     """True iff no rule of the set has a relevant application."""
     by_kind = rs._by_kind
-    return all(
-        _relevant_change(cr, c, csp.domains, csp.constraints) is None
-        for c in csp.constraints
-        for cr in by_kind[c.kind]
-    )
+    for c in csp.constraints:
+        for cr in by_kind[c.kind]:
+            change = _change(cr, c, csp.domains, csp.constraints)
+            if change and _is_relevant(cr.rule, c, *change, csp.domains):
+                return False
+    return True
 
 
 def close(
@@ -417,13 +434,15 @@ def close(
     an equality, which can happen |C| times; ``max_steps`` defaults to
     that bound, and exceeding it raises RuntimeError.
 
-    Candidate (rule index, constraint key) pairs wait on a heap and are
-    checked again when popped.  A step can only make applications on
-    the matched constraint's variables relevant, since its domain
-    changes and its dropped and added constraints all lie there, so
-    only the constraints on those variables are scanned again.  The heap
-    thus holds every relevant application, and its least one that is
-    still relevant is the one the schedule picks.
+    Candidate (rule index, constraint key) pairs whose application
+    would change the CSP wait on a heap.  When popped, a candidate is
+    matched again and fired if ``is_reformulation`` finds it relevant.
+    A step can only change the applications on the matched constraint's
+    variables, since its domain changes and its dropped and added
+    constraints all lie there, so only the constraints on those
+    variables are scanned again.  The heap thus holds every relevant
+    application, and its least one that is still relevant is the one
+    the schedule picks.
     """
     if max_steps is None:
         max_steps = 2 * len(csp.vars) + len(csp.constraints)
@@ -439,7 +458,7 @@ def close(
 
     def scan(c: BoolConstraint) -> None:
         for cr in by_kind[c.kind]:
-            if _relevant_change(cr, c, domains, constraints) is not None:
+            if _change(cr, c, domains, constraints) is not None:
                 entry = (cr.index, constraint_sort_key(c), next(tiebreak), cr, c)
                 heapq.heappush(heap, entry)
 
@@ -449,19 +468,22 @@ def close(
     trace: list[CspStep] = []
     while heap:
         *_, cr, c = heapq.heappop(heap)
-        change = c in constraints and _relevant_change(cr, c, domains, constraints)
+        change = c in constraints and _change(cr, c, domains, constraints)
         if not change:
             continue
-        if len(trace) == max_steps:
-            raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
         changes, added = change
+        r = cr.rule
+        if not _is_relevant(r, c, changes, added, domains):
+            continue
+        if len(trace) >= max_steps:
+            raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
         for v, _, d in changes:
             domains[v] = d
         if len(changes) > 1:  # in declaration order
             if not position:
                 position = {v: i for i, v in enumerate(csp.vars)}
             changes.sort(key=lambda change: position[change[0]])
-        if cr.drops:
+        if r.drops:
             constraints.discard(c)
             for v in c.vars:
                 occurs[v].discard(c)
@@ -470,8 +492,8 @@ def close(
             for v in a.vars:
                 occurs[v].add(a)
         added.sort(key=constraint_sort_key)
-        trace.append(CspStep(cr.name, c, tuple(changes), cr.drops, tuple(added)))
-        touched = c.vars if cr.drops else [v for v, _, _ in changes]
+        trace.append(CspStep(r.name, c, tuple(changes), r.drops, tuple(added)))
+        touched = c.vars if r.drops else [v for v, _, _ in changes]
         for c2 in {c2 for v in touched for c2 in occurs[v]}:
             scan(c2)
     if not trace:
@@ -525,7 +547,7 @@ def format_rule(r: PropagationRule) -> str:
     concl_parts = [f"{roles[p]} = {v}" for p, v in r.conclusion_assignments]
     concl_parts += [
         _render_pattern(kind, [roles[p] for p in positions])
-        for kind, positions in _sorted_patterns(r)
+        for kind, positions in r.patterns
     ]
     head = _render_pattern(r.kind, roles)
     return f"{r.name:<7} {head}, {premise} -> {', '.join(concl_parts)}"

@@ -29,7 +29,8 @@ from boolprop.rules import (
     BOOL,
     BOOL_PRIME,
     RuleSet,
-    _relevant_change,
+    _change,
+    _is_relevant,
     apply_rule_csp,
     close,
     closed_under,
@@ -108,26 +109,40 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     assert sorted(compiled) == list(range(len(system.rules)))
     for index, r in enumerate(system.rules):
         cr = compiled[index]
-        assert cr in system._by_kind[r.kind] and cr.name == r.name
+        assert cr in system._by_kind[r.kind] and cr.rule is r
         for csp in instances:
             (c,) = csp.constraints
-            relevant = [a for a in apply_rule_csp(r, csp) if a.relevant]
-            change = (
-                _relevant_change(cr, c, csp.domains, csp.constraints)
-                if c.kind == r.kind
-                else None
+            applications = apply_rule_csp(r, csp)
+            if c.kind != r.kind:
+                assert not applications
+                continue
+            change = _change(cr, c, csp.domains, csp.constraints)
+            unchanged = all(
+                (a.after.domains, a.after.constraints) == (csp.domains, csp.constraints)
+                for a in applications
             )
-            if not relevant:
+            if unchanged:
                 assert change is None, (r.name, csp)
                 continue
-            (application,) = relevant
+            (application,) = applications
             changes, added = change
             after = csp.with_domains({v: d for v, _, d in changes})
             constraints = set(csp.constraints) | set(added)
-            if cr.drops:
+            if r.drops:
                 constraints.discard(c)
             assert (after.domains, constraints) == (
                 application.after.domains,
                 application.after.constraints,
             ), (r.name, csp)
+            relevant = _is_relevant(r, c, changes, added, csp.domains)
+            assert relevant == application.relevant, (r.name, csp)
 
+
+@pytest.mark.parametrize("max_steps", [-1, 0, 1])
+def test_close_raises_on_the_step_past_any_cap(max_steps):
+    x, y, z = variables("x y z")
+    chain = [BoolConstraint(_K.EQ, (x, y)), BoolConstraint(_K.EQ, (y, z))]
+    csp = bcsp((x, y, z), {x: 1}, chain)
+    assert len(close(csp, BOOL, max_steps=2)[1]) == 2
+    with pytest.raises(RuntimeError, match="closure exceeded"):
+        close(csp, BOOL, max_steps=max_steps)
