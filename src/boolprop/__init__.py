@@ -42,6 +42,7 @@ from boolprop.model import (
 from boolprop.rules import (
     BOOL,
     BOOL_PRIME,
+    Closure,
     CspApplication,
     CspStep,
     PropagationRule,
@@ -61,6 +62,7 @@ __all__ = [
     "BOOL_PRIME",
     "BoolConstraint",
     "BooleanCSP",
+    "Closure",
     "ConstraintKind",
     "ConstraintStore",
     "CspApplication",

@@ -423,9 +423,61 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
     return True
 
 
+class Closure:
+    """A CSP under closure, changed in place and undone through a trail.
+
+    Holds the domains, the constraint set, an index from each variable
+    to its constraints, the constraints the next ``close`` must scan,
+    and a trail with one entry per step or restriction: its domain
+    changes, the constraint it dropped (or None) and the constraints it
+    added.  ``undo`` takes the trail back to an earlier length, so a
+    search can keep one state for all its branches.
+    """
+
+    def __init__(self, csp: BooleanCSP) -> None:
+        self.vars = csp.vars
+        self.domains = dict(csp.domains)
+        self.constraints = set(csp.constraints)
+        self.occurs: dict[Variable, set[BoolConstraint]] = {v: set() for v in csp.vars}
+        for c in self.constraints:
+            for v in c.vars:
+                self.occurs[v].add(c)
+        self.pending = list(self.constraints)
+        self.trail: list[tuple] = []
+
+    @cached_property
+    def position(self) -> dict[Variable, int]:
+        return {v: i for i, v in enumerate(self.vars)}
+
+    def restrict(self, v: Variable, d: Domain) -> None:
+        """Meet ``v``'s domain with ``d``; the next ``close`` scans its constraints."""
+        before = self.domains[v]
+        self.domains[v] = before & d
+        self.trail.append((((v, before, before & d),), None, ()))
+        self.pending.extend(self.occurs[v])
+
+    def undo(self, mark: int) -> None:
+        """Take back every change after the first ``mark`` trail entries."""
+        domains, constraints, occurs, trail = (
+            self.domains, self.constraints, self.occurs, self.trail
+        )
+        while len(trail) > mark:
+            changes, dropped, added = trail.pop()
+            for v, before, _ in changes:
+                domains[v] = before
+            if dropped is not None:
+                constraints.add(dropped)
+                for v in dropped.vars:
+                    occurs[v].add(dropped)
+            for a in added:
+                constraints.discard(a)
+                for v in a.vars:
+                    occurs[v].discard(a)
+
+
 def close(
-    csp: BooleanCSP, rs: RuleSet, max_steps: int | None = None
-) -> tuple[BooleanCSP, list[CspStep]]:
+    csp: BooleanCSP | Closure, rs: RuleSet, max_steps: int | None = None
+) -> tuple[BooleanCSP | Closure, list[CspStep]]:
     """Perform relevant applications until the CSP is closed.
 
     The schedule is deterministic: lowest rule index first, then
@@ -443,16 +495,18 @@ def close(
     variables are scanned again.  The heap thus holds every relevant
     application, and its least one that is still relevant is the one
     the schedule picks.
+
+    Given a ``Closure``, ``close`` scans only its pending constraints,
+    records each step on its trail and returns it, closed in place.
+    When the state was closed before its pending constraints' variables
+    changed, every relevant application lies on those constraints, so
+    the steps are the ones a fresh closure of the same CSP would take.
     """
+    state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
-        max_steps = 2 * len(csp.vars) + len(csp.constraints)
+        max_steps = 2 * len(state.vars) + len(state.constraints)
     by_kind = rs._by_kind
-    domains = dict(csp.domains)
-    constraints = set(csp.constraints)
-    occurs: dict[Variable, set[BoolConstraint]] = {v: set() for v in csp.vars}
-    for c in constraints:
-        for v in c.vars:
-            occurs[v].add(c)
+    domains, constraints, occurs = state.domains, state.constraints, state.occurs
     heap: list = []
     tiebreak = itertools.count()  # never compare constraints on the heap
 
@@ -462,9 +516,9 @@ def close(
                 entry = (cr.index, constraint_sort_key(c), next(tiebreak), cr, c)
                 heapq.heappush(heap, entry)
 
-    for c in constraints:
+    for c in state.pending:
         scan(c)
-    position: dict[Variable, int] = {}
+    state.pending.clear()
     trace: list[CspStep] = []
     while heap:
         *_, cr, c = heapq.heappop(heap)
@@ -480,8 +534,7 @@ def close(
         for v, _, d in changes:
             domains[v] = d
         if len(changes) > 1:  # in declaration order
-            if not position:
-                position = {v: i for i, v in enumerate(csp.vars)}
+            position = state.position
             changes.sort(key=lambda change: position[change[0]])
         if r.drops:
             constraints.discard(c)
@@ -492,10 +545,14 @@ def close(
             for v in a.vars:
                 occurs[v].add(a)
         added.sort(key=constraint_sort_key)
-        trace.append(CspStep(r.name, c, tuple(changes), r.drops, tuple(added)))
+        step = CspStep(r.name, c, tuple(changes), r.drops, tuple(added))
+        state.trail.append((step.domain_changes, c if r.drops else None, step.added))
+        trace.append(step)
         touched = c.vars if r.drops else [v for v, _, _ in changes]
         for c2 in {c2 for v in touched for c2 in occurs[v]}:
             scan(c2)
+    if state is csp:
+        return state, trace
     if not trace:
         return csp, trace
     return BooleanCSP(csp.vars, domains, frozenset(constraints)), trace

@@ -1,24 +1,31 @@
 """Decision procedure: propagate to closure, split on the first open variable.
 
 Splitting is depth-first in declaration order, trying 1 before 0, over
-a list of pending branches, so search depth is not bounded by the Python
-stack.  A closed non-failed CSP with all domains singleton is a solution
-(closure makes every constraint supported at every domain value), so
-search stops there; the model is re-checked against the constraint
-relations as a guard against engine bugs.
+an explicit stack, so search depth is not bounded by the Python stack.
+The search keeps one ``Closure`` for all its branches: a branch
+restricts its split variable, propagates from that variable's
+constraints only, and is undone through the trail on backtrack.  A
+closed non-failed CSP with all domains singleton is a solution (closure
+makes every constraint supported at every domain value), so search
+stops there; the model is re-checked against the input CSP's domains
+and constraints as a guard against engine bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from boolprop.model import (
+    ONE,
+    ZERO,
     Assignment,
     BooleanCSP,
-    is_failed,
+    Domain,
+    Variable,
     truth_table,
 )
-from boolprop.rules import BOOL, CspStep, RuleSet, close
+from boolprop.rules import BOOL, Closure, CspStep, RuleSet, close
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -30,16 +37,21 @@ class SolveResult:
     model: Assignment | None
     propagation_steps: int
     split_count: int
+    conflicts: int  # branches whose closure failed, the root included
+    max_depth: int  # most splits above any branch searched
 
 
-def _model_of(csp: BooleanCSP) -> Assignment:
+def _model_of(csp: BooleanCSP, domains: Mapping[Variable, Domain]) -> Assignment:
     values = []
     for v in csp.vars:
-        (value,) = csp.domains[v]
+        (value,) = domains[v]
+        if value not in csp.domains[v]:
+            raise RuntimeError(f"closure produced a non-model: {v.name}={value}")
         values.append(value)
     model = Assignment(csp.vars, tuple(values))
+    value_of = dict(zip(csp.vars, values))
     for c in csp.constraints:
-        if tuple(model[v] for v in c.vars) not in truth_table(c.kind):
+        if tuple(value_of[v] for v in c.vars) not in truth_table(c.kind):
             raise RuntimeError(f"closure produced a non-model: {c} violated")
     return model
 
@@ -54,28 +66,42 @@ def solve(
     ``trace`` (optional) collects every propagation step performed, over
     all branches, in execution order.
     """
-    propagations = 0
-    splits = 0
+    state = Closure(csp)
+    domains, vars = state.domains, csp.vars
+    propagations = splits = conflicts = max_depth = 0
     model = None
     # depth-first: the last branch pushed is searched next, so each split
-    # pushes its 0-branch below its 1-branch; a branch is a CSP and the
-    # domain update to apply to it, built only once the branch is popped
-    pending = [(csp, {})]
-    while pending:
-        base, update = pending.pop()
-        closed, steps = close(base.with_domains(update), system)
+    # pushes its 0-branch below its 1-branch.  A branch is the trail
+    # length of its closed parent, the index of its split variable (-1
+    # at the root), the value to restrict it to and its depth.
+    stack: list[tuple[int, int, Domain, int]] = [(0, -1, ONE, 0)]
+    while stack:
+        mark, index, value, depth = stack.pop()
+        state.undo(mark)
+        if index >= 0:
+            state.restrict(vars[index], value)
+        _, steps = close(state, system)
         propagations += len(steps)
+        max_depth = max(max_depth, depth)
         if trace is not None:
             trace.extend(steps)
-        if is_failed(closed):
+        if index < 0:
+            failed = not all(domains.values())
+        else:  # from a closed, non-failed parent: only its steps can fail it
+            failed = any(not d for step in steps for _, _, d in step.domain_changes)
+        if failed:
+            conflicts += 1
             continue
-        open_var = next(
-            (v for v in closed.vars if len(closed.domains[v]) == 2), None
-        )
-        if open_var is None:
-            model = _model_of(closed)
+        # the variables before the parent's split variable were already
+        # singletons there, and domains only shrink along a branch
+        index += 1
+        while index < len(vars) and len(domains[vars[index]]) != 2:
+            index += 1
+        if index == len(vars):
+            model = _model_of(csp, domains)
             break
         splits += 1
-        pending += [(closed, {open_var: 0}), (closed, {open_var: 1})]
+        mark = len(state.trail)
+        stack += [(mark, index, ZERO, depth + 1), (mark, index, ONE, depth + 1)]
     status = SAT if model is not None else UNSAT
-    return SolveResult(status, model, propagations, splits)
+    return SolveResult(status, model, propagations, splits, conflicts, max_depth)

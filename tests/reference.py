@@ -1,16 +1,23 @@
-"""The closure engine as a full rescan, kept as a test oracle.
+"""The closure engine as a full rescan and the search as re-closing
+from scratch, kept as test oracles.
 
 ``reference_close`` is the specification of ``boolprop.rules.close``:
 after every step it asks ``apply_rule_csp`` for all applications of
 every rule, in rule order and canonical constraint order, and fires the
 first relevant one.  Each step costs a pass over the whole CSP, so the
 library uses an incremental engine that must pick the same steps.
+
+``reference_solve`` is the specification of ``boolprop.solver.solve``:
+every branch copies its parent's closed CSP with the split variable
+restricted and closes that copy from scratch.  The library keeps one
+closure state for the whole search and must take the same steps.
 """
 
 from __future__ import annotations
 
-from boolprop.model import BooleanCSP
-from boolprop.rules import CspApplication, RuleSet, apply_rule_csp
+from boolprop.model import Assignment, BooleanCSP, is_failed
+from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
+from boolprop.solver import SAT, UNSAT, SolveResult
 
 
 def first_relevant(csp: BooleanCSP, rs: RuleSet) -> CspApplication | None:
@@ -32,3 +39,31 @@ def reference_close(
         if len(trace) > 10_000:
             raise RuntimeError("closure exceeded 10000 steps")
     return current, trace
+
+
+def reference_solve(
+    csp: BooleanCSP, system: RuleSet = BOOL, trace: list[CspStep] | None = None
+) -> SolveResult:
+    propagations = splits = conflicts = max_depth = 0
+    model = None
+    # (closed parent, split to apply, depth), 0-branch pushed below 1-branch
+    pending = [(csp, {}, 0)]
+    while pending:
+        base, update, depth = pending.pop()
+        closed, steps = close(base.with_domains(update), system)
+        propagations += len(steps)
+        max_depth = max(max_depth, depth)
+        if trace is not None:
+            trace.extend(steps)
+        if is_failed(closed):
+            conflicts += 1
+            continue
+        open_var = next((v for v in closed.vars if len(closed.domains[v]) == 2), None)
+        if open_var is None:
+            values = tuple(next(iter(closed.domains[v])) for v in closed.vars)
+            model = Assignment(closed.vars, values)
+            break
+        splits += 1
+        pending += [(closed, {open_var: 0}, depth + 1), (closed, {open_var: 1}, depth + 1)]
+    status = SAT if model is not None else UNSAT
+    return SolveResult(status, model, propagations, splits, conflicts, max_depth)

@@ -88,6 +88,29 @@ def test_propagate_bool_prime_trace_is_stable(tmp_path, capsys):
     )
 
 
+def test_solve_bool_prime_trace_undoes_a_replacement(tmp_path, capsys):
+    # x=1 fires AND 1' and then fails; x=0 must see the AND again and no eq y z
+    f = tmp_path / "undo.bcn"
+    f.write_text("var x y z n w\nand x y z\neq x y\nnot x n\nor z w n\n")
+    assert run_command(["solve", str(f), "--system", "bool-prime", "--trace"]) == 0
+    assert capsys.readouterr().out == (
+        "EQU 1 | eq x y | y: 01 -> 1; dropped eq x y\n"
+        "NOT 1 | not x n | n: 01 -> 0; dropped not x n\n"
+        "AND 1' | and x y z | dropped and x y z; added eq y z\n"
+        "EQU 1 | eq y z | z: 01 -> 1; dropped eq y z\n"
+        "OR 1 | or z w n | n: 0 -> {}; dropped or z w n\n"
+        "EQU 3 | eq x y | y: 01 -> 0; dropped eq x y\n"
+        "NOT 2 | not x n | n: 01 -> 1; dropped not x n\n"
+        "AND 4 | and x y z | z: 01 -> 0; dropped and x y z\n"
+        "OR 2' | or z w n | dropped or z w n; added eq w n\n"
+        "EQU 2 | eq w n | w: 01 -> 1; dropped eq w n\n"
+        "status: SAT\n"
+        "model: x=0 y=0 z=0 n=1 w=1\n"
+        "propagations: 10\n"
+        "splits: 1\n"
+    )
+
+
 def test_propagate_long_chain_fits_the_step_cap(tmp_path, capsys):
     n = 12_000
     f = tmp_path / "chain.bcn"
@@ -187,7 +210,7 @@ def test_dimacs_second_header_is_a_usage_error(tmp_path, capsys):
 
 
 def test_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
-    n = sys.getrecursionlimit() + 100
+    n = max(5_000, sys.getrecursionlimit() + 100)
     f = tmp_path / "free.bcn"
     f.write_text("var " + " ".join(f"v{i}" for i in range(n)) + "\n")
     assert run_command(["solve", str(f)]) == 0

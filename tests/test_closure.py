@@ -28,6 +28,7 @@ from boolprop.model import (
 from boolprop.rules import (
     BOOL,
     BOOL_PRIME,
+    Closure,
     RuleSet,
     _change,
     _is_relevant,
@@ -146,3 +147,35 @@ def test_close_raises_on_the_step_past_any_cap(max_steps):
     assert len(close(csp, BOOL, max_steps=2)[1]) == 2
     with pytest.raises(RuntimeError, match="closure exceeded"):
         close(csp, BOOL, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [-1, 0, 1])
+def test_continued_close_raises_on_the_step_past_any_cap(max_steps):
+    x, y, z = variables("x y z")
+    chain = [BoolConstraint(_K.EQ, (x, y)), BoolConstraint(_K.EQ, (y, z))]
+    state = Closure(bcsp((x, y, z), {}, chain))
+    assert close(state, BOOL) == (state, [])
+    state.restrict(x, ONE)
+    with pytest.raises(RuntimeError, match="closure exceeded"):
+        close(state, BOOL, max_steps=max_steps)
+    state.undo(0)
+    state.restrict(x, ONE)
+    assert len(close(state, BOOL, max_steps=2)[1]) == 2
+
+
+@given(csps(max_vars=5, max_constraints=6), st.sampled_from(SYSTEMS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_undo_restores_the_state_a_continued_close_changed(csp, system, data):
+    state = Closure(csp)
+    close(state, system)
+    mark = len(state.trail)
+    domains, constraints = dict(state.domains), set(state.constraints)
+    v = data.draw(st.sampled_from(csp.vars))
+    state.restrict(v, data.draw(st.sampled_from((ZERO, ONE))))
+    close(state, system)
+    state.undo(mark)
+    assert len(state.trail) == mark
+    assert (state.domains, state.constraints) == (domains, constraints)
+    assert state.occurs == {
+        u: {c for c in constraints if u in c.vars} for u in csp.vars
+    }

@@ -2,19 +2,24 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boolprop.clauses import parse_dimacs, translate_clause_set
 from boolprop.consistency import random_csp
 from boolprop.model import (
+    ConstraintKind,
     andc,
     bcsp,
     eqc,
     iter_solutions,
     notc,
+    store_to_csp,
     truth_table,
     variables,
 )
-from boolprop.rules import BOOL, BOOL_PRIME
+from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
 from boolprop.solver import SAT, UNSAT, solve
+from reference import reference_solve
 from strategies import csps
 
 X, Y, Z = variables("x y z")
@@ -76,3 +81,65 @@ def test_systems_agree_on_seeded_instances():
     for _ in range(60):
         csp = random_csp(rng, max_vars=5, max_constraints=5)
         assert solve(csp, BOOL).status == solve(csp, BOOL_PRIME).status
+
+
+def _assert_same_search(csp, system):
+    trace, expected_trace = [], []
+    assert solve(csp, system, trace=trace) == reference_solve(
+        csp, system, trace=expected_trace
+    )
+    assert trace == expected_trace
+
+
+@given(csps(max_vars=6, max_constraints=6), st.sampled_from((BOOL, BOOL_PRIME)))
+@settings(max_examples=300, deadline=None)
+def test_solve_follows_the_reference_search(csp, system):
+    _assert_same_search(csp, system)
+
+
+@pytest.mark.parametrize("system", (BOOL, BOOL_PRIME), ids=lambda rs: rs.name)
+def test_solve_follows_the_reference_on_seeded_random_csps(system):
+    rng = random.Random(f"solve:{system.name}")
+    for _ in range(1500):
+        _assert_same_search(random_csp(rng, max_vars=10, max_constraints=12), system)
+
+
+def test_conflicts_and_depth_on_php_3_2():
+    # three pigeons, two holes: p(i, j) is variable 2i + j + 1
+    clauses = [f"{2 * i + 1} {2 * i + 2} 0" for i in range(3)]
+    clauses += [
+        f"-{2 * i + j + 1} -{2 * k + j + 1} 0"
+        for j in range(2) for i in range(3) for k in range(i + 1, 3)
+    ]
+    clause_set, _ = parse_dimacs("p cnf 6 9\n" + "\n".join(clauses) + "\n")
+    csp = store_to_csp(translate_clause_set(clause_set))
+    for system in (BOOL, BOOL_PRIME):
+        result = solve(csp, system)
+        assert result == reference_solve(csp, system)
+        assert result.status == UNSAT
+        assert result.conflicts == result.split_count + 1  # every leaf fails
+        assert 0 < result.max_depth <= result.split_count
+
+
+def test_free_variables_search_one_branch_without_conflicts():
+    n = 40
+    result = solve(bcsp(variables([f"v{i}" for i in range(n)])), BOOL)
+    assert (result.status, result.split_count) == (SAT, n)
+    assert (result.conflicts, result.max_depth) == (0, n)
+    assert result.model.values == (1,) * n
+
+
+def test_model_is_checked_against_the_input():
+    # Unsound: replaces x /\ y = z by x = y when x = 1, forgetting z.
+    # Closure then drops every constraint and leaves x = y = 1, z = 0.
+    k = ConstraintKind
+    unsound = RuleSet(
+        "UNSOUND",
+        (
+            rule("AND x", k.AND, {0: 1}, {}, [(k.EQ, (0, 1))]),
+            rule("EQU 1", k.EQ, {0: 1}, {1: 1}),
+        ),
+    )
+    csp = bcsp((X, Y, Z), {X: 1, Z: 0}, [andc(X, Y, Z)])
+    with pytest.raises(RuntimeError, match="non-model: and x y z violated"):
+        solve(csp, unsound)
