@@ -15,6 +15,8 @@ semantically follows from the result.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -154,31 +156,23 @@ def constraints_to_clauses(s: ConstraintStore) -> ClauseSet:
 
 @dataclass(frozen=True)
 class UnitStep:
+    """One unit-propagation step as a delta: the target clause is deleted
+    and, for a resolution, replaced by its remainder (None otherwise)."""
+
     op: str  # "RESOLVE" or "SUBSUME"
     unit: Literal
     target: Clause
-    result: ClauseSet
+    remainder: Clause | None
 
 
 RESOLVE = "RESOLVE"
 SUBSUME = "SUBSUME"
 
 
-def _unit_steps(cs: ClauseSet) -> Iterator[UnitStep]:
-    units = sorted(
-        (c.unit_literal for c in cs if c.is_unit), key=literal_sort_key
-    )
-    targets = sorted(cs, key=clause_sort_key)
-    for u in units:
-        comp = u.negated()
-        for t in targets:
-            if comp in t.literals:
-                remainder = Clause(t.literals - {comp})
-                yield UnitStep(RESOLVE, u, t, (cs - {t}) | {remainder})
-    for u in units:
-        for t in targets:
-            if u in t.literals and t.literals != frozenset({u}):
-                yield UnitStep(SUBSUME, u, t, cs - {t})
+def apply_unit_step(cs: ClauseSet, step: UnitStep) -> ClauseSet:
+    """The clause set after the step."""
+    rest = cs - {step.target}
+    return rest | {step.remainder} if step.op == RESOLVE else rest
 
 
 def unit_step(cs: ClauseSet) -> list[UnitStep]:
@@ -187,30 +181,101 @@ def unit_step(cs: ClauseSet) -> list[UnitStep]:
     Ordered resolutions first, then subsumptions, each by unit then
     target in canonical order.  A unit clause never subsumes itself.
     """
-    return list(_unit_steps(cs))
+    units = sorted((c.unit_literal for c in cs if c.is_unit), key=literal_sort_key)
+    targets = sorted(cs, key=clause_sort_key)
+    steps = []
+    for u in units:
+        comp = u.negated()
+        steps += [
+            UnitStep(RESOLVE, u, t, Clause(t.literals - {comp}))
+            for t in targets
+            if comp in t.literals
+        ]
+    for u in units:
+        steps += [
+            UnitStep(SUBSUME, u, t, None)
+            for t in targets
+            if u in t.literals and not t.is_unit
+        ]
+    return steps
 
 
 def unit_propagate(
-    cs: ClauseSet, max_steps: int = 10_000
+    cs: ClauseSet, max_steps: int | None = None
 ) -> tuple[ClauseSet, list[UnitStep]]:
     """Run unit propagation to fixpoint under the canonical schedule:
     each step is the first that ``unit_step`` would list.
 
-    Stops immediately once the empty clause appears.  Raises if the step
-    budget is exceeded (each step shrinks the clause multiset, so hitting
-    the budget means a scheduler bug).
+    The clause set is kept in place with an index from each literal to
+    the live clauses containing it.  Units only grow (a unit clause is
+    never subsumed, and resolving it away makes the empty clause, which
+    stops the run), so the available resolutions sit in a heap keyed by
+    unit then target: a new clause is pushed against the units present,
+    and a new unit against the clauses holding its complement.  Popped
+    pairs whose target is gone are skipped.  Subsumption only deletes
+    clauses, so once no resolution is left the remaining steps are the
+    subsumptions available then, taken in order.
+
+    Each step deletes a clause or a literal occurrence, so the default
+    cap is the number of clauses plus the sum of their lengths; going
+    past any cap is a bug and raises RuntimeError.
     """
+    if max_steps is None:
+        max_steps = len(cs) + sum(len(c.literals) for c in cs)
+    live = set(cs)
+    occurs: dict[Literal, set[Clause]] = {}
+    for c in cs:
+        for lit in c.literals:
+            occurs.setdefault(lit, set()).add(c)
+    units = {c.unit_literal for c in cs if c.is_unit}
+    key = functools.cache(clause_sort_key)  # once per clause
+    heap: list[tuple] = []
+    tiebreak = itertools.count()
+
+    def push(u: Literal, t: Clause) -> None:
+        heapq.heappush(heap, (literal_sort_key(u), key(t), next(tiebreak), u, t))
+
+    for u in units:
+        for t in occurs.get(u.negated(), ()):
+            push(u, t)
     trace: list[UnitStep] = []
-    current = cs
-    while EMPTY_CLAUSE not in current:
-        step = next(_unit_steps(current), None)
-        if step is None:
-            break
-        trace.append(step)
-        current = step.result
-        if len(trace) > max_steps:
+
+    def record(step: UnitStep) -> None:
+        if len(trace) >= max_steps:
             raise RuntimeError(f"unit propagation exceeded {max_steps} steps")
-    return current, trace
+        trace.append(step)
+        live.remove(step.target)
+        for lit in step.target.literals:
+            occurs[lit].discard(step.target)
+
+    while heap and EMPTY_CLAUSE not in live:
+        *_, u, t = heapq.heappop(heap)
+        if t not in live:
+            continue
+        r = Clause(t.literals - {u.negated()})
+        record(UnitStep(RESOLVE, u, t, r))
+        if r in live:
+            continue
+        live.add(r)
+        for lit in r.literals:
+            occurs.setdefault(lit, set()).add(r)
+            if lit.negated() in units:
+                push(lit.negated(), r)
+        if r.is_unit:
+            units.add(r.unit_literal)
+            for c in occurs.get(r.unit_literal.negated(), ()):
+                push(r.unit_literal, c)
+    if EMPTY_CLAUSE not in live:
+        subsumptions = sorted(
+            (literal_sort_key(u), key(t), next(tiebreak), u, t)
+            for u in units
+            for t in occurs.get(u, ())
+            if not t.is_unit
+        )
+        for *_, u, t in subsumptions:
+            if t in live:
+                record(UnitStep(SUBSUME, u, t, None))
+    return frozenset(live), trace
 
 
 def format_unit_step(step: UnitStep) -> str:
@@ -387,15 +452,11 @@ def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep
         nonlocal current
         if not unit_available(u):
             raise SimulationError(f"unit {u} not available while replaying {step.rule}")
-        if op == RESOLVE:
-            remainder = Clause(target.literals - {u.negated()})
-            result = (current - {target}) | {remainder}
-            if remainder not in phi2:
-                work.add(remainder)
-        else:
-            result = current - {target}
-        steps.append(UnitStep(op, u, target, result))
-        current = result
+        remainder = Clause(target.literals - {u.negated()}) if op == RESOLVE else None
+        if remainder is not None and remainder not in phi2:
+            work.add(remainder)
+        steps.append(UnitStep(op, u, target, remainder))
+        current = apply_unit_step(current, steps[-1])
 
     premise_lits = [Literal(c.vars[p], v == 1) for p, v in r.premise]
     conclusion_lits = [Literal(c.vars[p], v == 1) for p, v in r.conclusion_assignments]
@@ -522,7 +583,7 @@ def simulate_unit_by_bool(
         raise ValueError("step target is not a clause of the input set")
     if step.op == SUBSUME and step.target.is_unit:
         raise ValueError("a unit clause is never a subsumption target")
-    phi2 = step.result
+    phi2 = apply_unit_step(phi1, step)
     fresh = FreshVarSource.avoiding(clause_set_variables(phi1))
     u = step.unit
     selected = u.negated() if step.op == RESOLVE else u
@@ -562,14 +623,11 @@ def simulate_unit_by_bool(
     remainder = chain - {head_or, head_not}
 
     # translation of the clause set after the step
-    remainder_clause = (
-        Clause(step.target.literals - {selected}) if step.op == RESOLVE else None
-    )
     s2 = ConstraintStore()
     for q in phi2:
         if q in parts:
             s2 = s2.union(parts[q])
-        elif q == remainder_clause:
+        elif q == step.remainder:
             if q.is_unit:
                 s2 = s2.union(
                     ConstraintStore(frozenset(), frozenset({q.unit_literal}))
@@ -599,7 +657,7 @@ def simulate_unit_by_bool(
             # then OR 3 exposes Q's root
             apply("NOT 1", head_not)
             apply("OR 3", head_or)
-        if remainder_clause is not None and remainder_clause.is_unit:
+        if step.remainder.is_unit:
             (q_con,) = remainder
             apply("EQU 2" if q_con.kind == ConstraintKind.EQ else "NOT 3", q_con)
     else:  # SUBSUME

@@ -140,7 +140,7 @@ def orc(x: Variable, y: Variable, z: Variable) -> BoolConstraint:
 
 
 def constraint_sort_key(c: BoolConstraint) -> tuple:
-    return (tuple(v.index for v in c.vars), c.kind.value)
+    return (tuple([v.index for v in c.vars]), c.kind.value)
 
 
 def as_domain(value) -> Domain:

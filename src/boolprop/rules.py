@@ -413,9 +413,13 @@ def _is_relevant(
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
-    """True iff no rule of the set has a relevant application."""
+    """True iff no rule of the set has a relevant application.
+
+    Constraints are tried in canonical order, so the work done before
+    the first relevant one is found does not depend on hash order.
+    """
     by_kind = rs._by_kind
-    for c in csp.constraints:
+    for c in sorted(csp.constraints, key=constraint_sort_key):
         for cr in by_kind[c.kind]:
             change = _change(cr, c, csp.domains, csp.constraints)
             if change and _is_relevant(cr.rule, c, *change, csp.domains):

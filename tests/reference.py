@@ -11,10 +11,17 @@ library uses an incremental engine that must pick the same steps.
 every branch copies its parent's closed CSP with the split variable
 restricted and closes that copy from scratch.  The library keeps one
 closure state for the whole search and must take the same steps.
+
+``reference_unit_propagate`` is the specification of
+``boolprop.clauses.unit_propagate``: after every step it lists all
+available unit steps with ``unit_step``, takes the first and rebuilds
+the clause set.  The library keeps an occurrence index and a heap of
+pending resolutions and must take the same steps.
 """
 
 from __future__ import annotations
 
+from boolprop.clauses import EMPTY_CLAUSE, RESOLVE, ClauseSet, UnitStep, unit_step
 from boolprop.model import Assignment, BooleanCSP, is_failed
 from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
 from boolprop.solver import SAT, UNSAT, SolveResult
@@ -67,3 +74,17 @@ def reference_solve(
         pending += [(closed, {open_var: 0}, depth + 1), (closed, {open_var: 1}, depth + 1)]
     status = SAT if model is not None else UNSAT
     return SolveResult(status, model, propagations, splits, conflicts, max_depth)
+
+
+def reference_unit_propagate(
+    cs: ClauseSet,
+) -> tuple[list[ClauseSet], list[UnitStep]]:
+    """The clause sets passed through (the input first, the fixpoint
+    last) and the steps between them."""
+    sets, trace = [cs], []
+    while EMPTY_CLAUSE not in sets[-1] and (steps := unit_step(sets[-1])):
+        step = steps[0]
+        trace.append(step)
+        rest = sets[-1] - {step.target}
+        sets.append(rest | {step.remainder} if step.op == RESOLVE else rest)
+    return sets, trace

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines and timings.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -13,6 +14,7 @@ from boolprop.clauses import (
     RESOLVE,
     SUBSUME,
     FreshVarSource,
+    apply_unit_step,
     clause_set_satisfied,
     clause_set_variables,
     constraints_to_clauses,
@@ -152,7 +154,8 @@ def test_criterion_5_reduction_to_unit():
             continue
         if len(script) > 4:
             failures.append(f"{r.name}: {len(script)} steps")
-        if script[-1].result != constraints_to_clauses(step.after):
+        replayed = functools.reduce(apply_unit_step, script, constraints_to_clauses(s1))
+        if replayed != constraints_to_clauses(step.after):
             failures.append(f"{r.name}: clause sets differ")
         if r.name == "OR 3":
             ops = [(u.op, str(u.unit)) for u in script]

@@ -70,8 +70,7 @@ def test_simulate_unit_rejects_foreign_targets():
 
 
 def test_simulate_unit_rejects_unit_subsumption_targets():
-    cs = frozenset({clause(pos(X)), clause(pos(X), pos(Y))})
-    bogus = UnitStep(SUBSUME, pos(X), clause(pos(X)), cs - {clause(pos(X))})
+    bogus = UnitStep(SUBSUME, pos(X), clause(pos(X)), None)
     with pytest.raises(ValueError, match="never a subsumption target"):
         simulate_unit_by_bool(frozenset({clause(pos(X))}), bogus)
 

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolprop
 from boolprop.model import (
     EMPTY,
     FULL,
@@ -158,6 +163,36 @@ def test_closed_under_examples():
 
     failed = bcsp((X, Y, Z), {X: EMPTY}, [andc(X, Y, Z)])
     assert closed_under(failed, BOOL)
+
+
+# counts the relevance checks one `verify --theorem bool-prime` makes
+_COUNT_RELEVANCE_CHECKS = """
+import contextlib, io
+import boolprop.cli, boolprop.rules
+calls = 0
+inner = boolprop.rules.is_reformulation
+def counted(*args):
+    global calls
+    calls += 1
+    return inner(*args)
+boolprop.rules.is_reformulation = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    boolprop.cli.run_command(["verify", "--theorem", "bool-prime"])
+print(calls)
+"""
+
+
+def test_closed_under_work_does_not_depend_on_the_hash_seed():
+    src = str(Path(boolprop.__file__).parents[1])
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _COUNT_RELEVANCE_CHECKS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        counts.append(int(done.stdout))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
