@@ -7,7 +7,7 @@ solved by propagation plus one split.
 """
 
 from boolprop.bcn import format_bcn
-from boolprop.consistency import describe_csp, hyper_arc_consistent
+from boolprop.consistency import describe_csp, hyper_arc_witnesses
 from boolprop.model import andc, bcsp, notc, orc, variables
 from boolprop.rules import BOOL, BOOL_PRIME, close, format_csp_step
 from boolprop.solver import solve
@@ -21,10 +21,9 @@ def show(title, csp):
         print(f"-- closure under {system.name} --")
         for step in trace:
             print(format_csp_step(step))
-        report = hyper_arc_consistent(closed)
         print(
             f"   result: {describe_csp(closed)}"
-            f"  [hyper-arc: {report.hyper_arc}]"
+            f"  [hyper-arc: {not hyper_arc_witnesses(closed)}]"
         )
     print()
 

@@ -20,7 +20,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from boolprop.model import (
     BoolConstraint,
@@ -28,11 +28,12 @@ from boolprop.model import (
     ConstraintStore,
     Literal,
     Variable,
+    iter_solutions,
     literal_sort_key,
     neg,
     orc,
     pos,
-    store_satisfied,
+    store_to_csp,
     store_variables,
     variables,
 )
@@ -99,12 +100,11 @@ def clause_set_variables(cs: ClauseSet) -> tuple[Variable, ...]:
     return tuple(seen)
 
 
-def clause_satisfied(c: Clause, valuation: Mapping[Variable, int]) -> bool:
-    return any(valuation[l.var] == (1 if l.positive else 0) for l in c.literals)
-
-
 def clause_set_satisfied(cs: ClauseSet, valuation: Mapping[Variable, int]) -> bool:
-    return all(clause_satisfied(c, valuation) for c in cs)
+    return all(
+        any(valuation[l.var] == (1 if l.positive else 0) for l in c.literals)
+        for c in cs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def translate_clause_set(cs: ClauseSet) -> ConstraintStore:
     """Translate each clause separately, in canonical clause order."""
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
-    fresh = FreshVarSource.avoiding(clause_set_variables(cs))
+    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals})
     constraints: set[BoolConstraint] = set()
     literals: set[Literal] = set()
     for c in sorted(cs, key=clause_sort_key):
@@ -379,11 +379,6 @@ def translate_clause_set(cs: ClauseSet) -> ConstraintStore:
 # ---------------------------------------------------------------------------
 
 
-def _valuations(vars: Sequence[Variable]) -> Iterator[dict[Variable, int]]:
-    for values in itertools.product((0, 1), repeat=len(vars)):
-        yield dict(zip(vars, values))
-
-
 _MAX_ENUM_VARS = 24
 
 
@@ -391,31 +386,31 @@ def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
     """Every valuation satisfying ``s`` extends (over ``c``'s extra
     variables) to one satisfying ``c``.
 
-    Checked by brute force.  The enumeration over ``c``'s variables first
-    computes which valuations of the shared variables admit a satisfying
-    extension; if all of them do, the answer is yes without touching
-    ``s``.  Otherwise ``s``'s variables are enumerated directly, which
-    requires their count to stay within ``_MAX_ENUM_VARS``.
+    Checked by brute force over the solutions of ``store_to_csp``.  The
+    solutions of ``c`` first give the valuations of the shared variables
+    that admit a satisfying extension; if all of them do, the answer is
+    yes without touching ``s``.  Otherwise the solutions of ``s`` are
+    enumerated, which requires its variable count to stay within
+    ``_MAX_ENUM_VARS``.
     """
-    c_vars = store_variables(c)
-    s_vars = store_variables(s)
-    shared = tuple(v for v in c_vars if v in set(s_vars))
-    extendable: set[tuple[int, ...]] = set()
-    for valuation in _valuations(c_vars):
-        if store_satisfied(c, valuation):
-            extendable.add(tuple(valuation[v] for v in shared))
+    c_csp = store_to_csp(c)
+    s_csp = store_to_csp(s)
+    s_position = {v: i for i, v in enumerate(s_csp.vars)}
+    shared = [(i, s_position[v]) for i, v in enumerate(c_csp.vars) if v in s_position]
+    extendable = {
+        tuple(a.values[i] for i, _ in shared) for a in iter_solutions(c_csp)
+    }
     if len(extendable) == 2 ** len(shared):
         return True
-    if len(s_vars) > _MAX_ENUM_VARS:
+    if len(s_csp.vars) > _MAX_ENUM_VARS:
         raise ValueError(
-            f"store has {len(s_vars)} variables; brute-force check capped at "
+            f"store has {len(s_csp.vars)} variables; brute-force check capped at "
             f"{_MAX_ENUM_VARS}"
         )
-    for valuation in _valuations(s_vars):
-        if store_satisfied(s, valuation):
-            if tuple(valuation[v] for v in shared) not in extendable:
-                return False
-    return True
+    return all(
+        tuple(a.values[j] for _, j in shared) in extendable
+        for a in iter_solutions(s_csp)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +547,7 @@ def _redundant_follows(
         comp_vars = store_variables(comp)
         shared = [v for v in comp_vars if v in s2_vars]
         if not shared:
-            if not any(
-                store_satisfied(comp, valuation)
-                for valuation in _valuations(comp_vars)
-            ):
+            if next(iter_solutions(store_to_csp(comp)), None) is None:
                 return False
             continue
         covering = [
@@ -584,7 +576,7 @@ def simulate_unit_by_bool(
     if step.op == SUBSUME and step.target.is_unit:
         raise ValueError("a unit clause is never a subsumption target")
     phi2 = apply_unit_step(phi1, step)
-    fresh = FreshVarSource.avoiding(clause_set_variables(phi1))
+    fresh = FreshVarSource.avoiding({l.var for q in phi1 for l in q.literals})
     u = step.unit
     selected = u.negated() if step.op == RESOLVE else u
 
@@ -806,10 +798,8 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     return frozenset(clauses), vars
 
 
-def format_dimacs(cs: ClauseSet, vars: Sequence[Variable] | None = None) -> str:
+def format_dimacs(cs: ClauseSet, vars: Sequence[Variable]) -> str:
     """Write DIMACS CNF with a comment block mapping indices to names."""
-    if vars is None:
-        vars = sorted(clause_set_variables(cs), key=lambda v: v.index)
     number = {v: i + 1 for i, v in enumerate(vars)}
     for v in clause_set_variables(cs):
         if v not in number:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from boolprop.bcn import BcnError, format_bcn, parse_bcn
+from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.clauses import (
     EMPTY_CLAUSE,
     constraints_to_clauses,
@@ -31,13 +31,15 @@ from boolprop.consistency import (
     verify_rule_necessity,
 )
 from boolprop.model import (
-    EMPTY,
-    FULL,
     BooleanCSP,
     ConstraintKind,
+    ConstraintStore,
     Variable,
     csp_to_store,
+    neg,
+    pos,
     store_to_csp,
+    store_variables,
 )
 from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
@@ -76,15 +78,18 @@ def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
     """The CSP of a DIMACS file through the standard clause-to-constraint
     translation, and the clause variables in declaration order."""
     clauses, clause_vars = parse_dimacs(text)
-    csp = store_to_csp(translate_clause_set(clauses - {EMPTY_CLAUSE}))
-    # variables mentioned in no clause stay unconstrained
-    vars = csp.vars + tuple(v for v in clause_vars if v not in csp.domains)
-    domains = {v: csp.domains.get(v, FULL) for v in vars}
+    s = translate_clause_set(clauses - {EMPTY_CLAUSE})
+    vars = store_variables(s)
+    # variables mentioned in no clause stay unconstrained; only this
+    # small set, not one of every variable, lives on through store_to_csp
+    unmentioned = set(clause_vars).difference(vars)
+    vars += tuple(v for v in clause_vars if v in unmentioned)
     if EMPTY_CLAUSE in clauses:  # the empty clause: fail the CSP outright
         false_var = Variable("_false", len(vars))
         vars += (false_var,)
-        domains[false_var] = EMPTY
-    return BooleanCSP(vars, domains, csp.constraints), clause_vars
+        contradiction = {pos(false_var), neg(false_var)}  # an empty domain
+        s = ConstraintStore(s.constraints, s.literals | contradiction)
+    return store_to_csp(s, vars), clause_vars
 
 
 def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
@@ -278,10 +283,7 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (BcnError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from boolprop.bcn import format_bcn
@@ -39,13 +38,6 @@ from boolprop.rules import BOOL, BOOL_PRIME, close, closed_under
 Witness = tuple[BoolConstraint, Variable, int]
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    hyper_arc: bool
-    failed: bool
-    witnesses: tuple[Witness, ...]
-
-
 def hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
     """All (constraint, variable, value) triples lacking support."""
     out = []
@@ -56,15 +48,6 @@ def hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
                 if not any(t[i] == val for t in rel):
                     out.append((c, v, val))
     return tuple(out)
-
-
-def hyper_arc_consistent(csp: BooleanCSP) -> ConsistencyReport:
-    witnesses = hyper_arc_witnesses(csp)
-    return ConsistencyReport(
-        hyper_arc=not witnesses,
-        failed=is_failed(csp),
-        witnesses=witnesses,
-    )
 
 
 # The four problematic domain patterns: an AND/OR constraint that has

@@ -9,7 +9,11 @@ a fixed interpretation of literal sets as domains.
 Everything here is immutable, and the solution-level operations
 (``solutions``, ``equivalent``, ...) work by exhaustive enumeration.
 This module is the oracle layer the propagation engines are tested
-against, so it favours obviousness over speed.
+against, so it favours obviousness over speed.  It is also the one
+place where a CSP is checked and its domains normalised (in
+``BooleanCSP.__post_init__``) and where solutions are enumerated
+(``iter_solutions``); a store is enumerated as the CSP ``store_to_csp``
+gives it.
 """
 
 from __future__ import annotations
@@ -209,7 +213,11 @@ class BooleanCSP:
     ) -> BooleanCSP:
         """A CSP from parts that already pass ``__post_init__``, unchecked.
 
-        For engines that build many small CSPs from a valid one.
+        The caller must guarantee what ``__post_init__`` would check: the
+        variables are distinct, ``domains`` is a dict of ``Domain``
+        frozensets keyed by exactly ``vars``, and every constraint lies on
+        them.  For engines that assemble a CSP from the parts of a valid
+        one.
         """
         csp = object.__new__(cls)
         object.__setattr__(csp, "vars", vars)
@@ -218,10 +226,7 @@ class BooleanCSP:
         return csp
 
     def with_domains(self, updates: Mapping[Variable, object]) -> BooleanCSP:
-        new = dict(self.domains)
-        for v, d in updates.items():
-            new[v] = as_domain(d)
-        return BooleanCSP(self.vars, new, self.constraints)
+        return BooleanCSP(self.vars, {**self.domains, **updates}, self.constraints)
 
 
 def bcsp(
@@ -231,8 +236,7 @@ def bcsp(
 ) -> BooleanCSP:
     """Build a CSP; unmentioned domains default to {0, 1}."""
     doms = {v: FULL for v in vars}
-    for v, d in (domains or {}).items():
-        doms[v] = as_domain(d)
+    doms.update(domains or {})
     return BooleanCSP(tuple(vars), doms, frozenset(constraints))
 
 
@@ -375,11 +379,7 @@ def store_to_csp(
     both -> empty domain.  ``vars`` overrides the default first-occurrence
     variable sequence (it must cover every variable of the store).
     """
-    occurring = store_variables(s)
-    seq = tuple(vars) if vars is not None else occurring
-    missing = set(occurring) - set(seq)
-    if missing:
-        raise ValueError(f"variable sequence misses {sorted(v.name for v in missing)}")
+    seq = store_variables(s) if vars is None else tuple(vars)
     domains = {}
     for v in seq:
         has_pos = Literal(v, True) in s.literals
@@ -392,6 +392,13 @@ def store_to_csp(
             domains[v] = ZERO
         else:
             domains[v] = FULL
+    if vars is not None:  # checked against the domains: no second set of vars
+        missing = {v for c in s.constraints for v in c.vars if v not in domains}
+        missing.update(lit.var for lit in s.literals if lit.var not in domains)
+        if missing:
+            raise ValueError(
+                f"variable sequence misses {sorted(v.name for v in missing)}"
+            )
     return BooleanCSP(seq, domains, s.constraints)
 
 

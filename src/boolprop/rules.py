@@ -40,6 +40,7 @@ from boolprop.model import (
     Variable,
     constraint_sort_key,
     is_reformulation,
+    store_variables,
     truth_table,
 )
 
@@ -249,7 +250,6 @@ def builtin_ruleset(name: str) -> RuleSet:
 class StoreStep:
     rule: str
     matched_constraint: BoolConstraint
-    before: ConstraintStore
     after: ConstraintStore
 
 
@@ -323,7 +323,7 @@ def apply_rule_store(r: PropagationRule, s: ConstraintStore) -> list[StoreStep]:
         literals = s.literals | {Literal(var, v == 1) for var, v in concluded}
         after = ConstraintStore(constraints, literals)
         if after != s:
-            steps.append(StoreStep(r.name, c, s, after))
+            steps.append(StoreStep(r.name, c, after))
     return steps
 
 
@@ -348,7 +348,7 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspApplication]:
         domains = dict(csp.domains)
         for var, v in concluded:
             domains[var] = domains[var] & _SINGLETON[v]
-        after = BooleanCSP(csp.vars, domains, constraints)
+        after = BooleanCSP._of_valid_parts(csp.vars, domains, constraints)
         steps.append(
             CspApplication(r.name, c, csp, after, not is_reformulation(csp, after))
         )
@@ -559,26 +559,30 @@ def close(
         return state, trace
     if not trace:
         return csp, trace
-    return BooleanCSP(csp.vars, domains, frozenset(constraints)), trace
+    return BooleanCSP._of_valid_parts(csp.vars, domains, frozenset(constraints)), trace
 
 
 def derive_store(
-    s: ConstraintStore, rs: RuleSet, max_steps: int = 10_000
+    s: ConstraintStore, rs: RuleSet, max_steps: int | None = None
 ) -> list[StoreStep]:
-    """A deterministic store derivation run to fixpoint (or the step cap).
+    """A deterministic store derivation run to fixpoint.
 
-    Schedule: lowest rule index first, then canonical match order.
+    Schedule: lowest rule index first, then canonical match order.  Each
+    step adds a literal, which can happen 2|V| times, or drops a
+    constraint.  A drop removes one of the |C| given constraints or an
+    equality that replaced a dropped AND or OR, so there are at most
+    2|C| drops; ``max_steps`` defaults to 2|V| + 2|C|, and exceeding it
+    raises RuntimeError.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    if max_steps is None:
+        max_steps = 2 * len(store_variables(s)) + 2 * len(s.constraints)
     trace: list[StoreStep] = []
     current = s
-    while len(trace) < max_steps:
-        step = next(
-            (st for r in rs.rules for st in apply_rule_store(r, current)), None
-        )
-        if step is None:
-            break
+    while step := next(
+        (st for r in rs.rules for st in apply_rule_store(r, current)), None
+    ):
+        if len(trace) >= max_steps:
+            raise RuntimeError(f"store derivation exceeded {max_steps} steps")
         trace.append(step)
         current = step.after
     return trace

@@ -17,12 +17,26 @@ closure state for the whole search and must take the same steps.
 available unit steps with ``unit_step``, takes the first and rebuilds
 the clause set.  The library keeps an occurrence index and a heap of
 pending resolutions and must take the same steps.
+
+``reference_semantically_follows`` is the definition of
+``boolprop.clauses.semantically_follows`` as a loop over every 0/1
+valuation of each store's variables.  The library enumerates the
+solutions of ``store_to_csp`` instead and must give the same answer.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from boolprop.clauses import EMPTY_CLAUSE, RESOLVE, ClauseSet, UnitStep, unit_step
-from boolprop.model import Assignment, BooleanCSP, is_failed
+from boolprop.model import (
+    Assignment,
+    BooleanCSP,
+    ConstraintStore,
+    is_failed,
+    store_satisfied,
+    store_variables,
+)
 from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
 from boolprop.solver import SAT, UNSAT, SolveResult
 
@@ -88,3 +102,21 @@ def reference_unit_propagate(
         rest = sets[-1] - {step.target}
         sets.append(rest | {step.remainder} if step.op == RESOLVE else rest)
     return sets, trace
+
+
+def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
+    """Every valuation of ``s``'s variables that satisfies ``s`` extends
+    to a valuation of ``c``'s variables that satisfies ``c``."""
+    c_vars, s_vars = store_variables(c), store_variables(s)
+    shared = [v for v in c_vars if v in s_vars]
+    extendable = set()
+    for values in itertools.product((0, 1), repeat=len(c_vars)):
+        valuation = dict(zip(c_vars, values))
+        if store_satisfied(c, valuation):
+            extendable.add(tuple(valuation[v] for v in shared))
+    for values in itertools.product((0, 1), repeat=len(s_vars)):
+        valuation = dict(zip(s_vars, values))
+        if store_satisfied(s, valuation):
+            if tuple(valuation[v] for v in shared) not in extendable:
+                return False
+    return True

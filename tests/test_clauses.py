@@ -45,6 +45,7 @@ from boolprop.model import (
     variables,
 )
 from boolprop.rules import BOOL, apply_rule_store
+from reference import reference_semantically_follows
 from strategies import clause_sets, stores
 
 X, Y, Z = variables("x y z")
@@ -301,6 +302,12 @@ def test_semantically_follows_trivial_cases():
 def test_semantically_follows_uses_shared_information():
     # {x} follows from {x, y=x} even though not from every valuation of x
     assert semantically_follows(store(pos(X)), store(pos(X), eqc(X, Y)))
+
+
+@given(stores(max_vars=5), stores(max_vars=5))
+@settings(max_examples=300, deadline=None)
+def test_semantically_follows_matches_the_valuation_loop(c, s):
+    assert semantically_follows(c, s) == reference_semantically_follows(c, s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import sys
 
 import pytest
 
+from boolprop import cli
 from boolprop.cli import run_command
+from boolprop.model import BooleanCSP
 
 
 @pytest.fixture
@@ -193,6 +195,29 @@ def test_translate_to_bcn_keeps_declared_variables(tmp_path, capsys):
         l for l in capsys.readouterr().out.splitlines() if l.startswith("var ")
     ]
     assert "x3" in var_line.split()
+
+
+def test_dimacs_input_is_checked_as_one_csp(monkeypatch):
+    built = []
+    post_init = BooleanCSP.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BooleanCSP, "__post_init__", counting)
+    # the empty clause and x3, which no clause mentions
+    csp, clause_vars = cli._dimacs_csp("p cnf 3 2\n-1 2 0\n0\n")
+    assert built == [csp]
+    assert [v.name for v in clause_vars] == ["x1", "x2", "x3"]
+    names = [v.name for v in csp.vars]
+    assert names == ["x1", "_t1", "x2", "_t2", "_t0", "x3", "_false"]
+    assert [sorted(csp.domains[v]) for v in csp.vars] == [
+        [0, 1], [0, 1], [0, 1], [0, 1], [1], [0, 1], []
+    ]
+    assert sorted(map(str, csp.constraints)) == [
+        "eq x2 _t2", "not x1 _t1", "or _t1 _t2 _t0"
+    ]
 
 
 def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):

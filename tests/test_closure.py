@@ -21,6 +21,7 @@ from boolprop.model import (
     ONE,
     ZERO,
     BoolConstraint,
+    BooleanCSP,
     ConstraintKind,
     bcsp,
     variables,
@@ -179,3 +180,16 @@ def test_undo_restores_the_state_a_continued_close_changed(csp, system, data):
     assert state.occurs == {
         u: {c for c in constraints if u in c.vars} for u in csp.vars
     }
+
+
+@given(csps(max_vars=5, max_constraints=6), st.sampled_from((BOOL, BOOL_PRIME)))
+@settings(max_examples=200, deadline=None)
+def test_unchecked_engine_results_pass_the_checks(csp, system):
+    # close and apply_rule_csp assemble their CSPs without __post_init__
+    results = [close(csp, system)[0]]
+    results += [a.after for r in system.rules for a in apply_rule_csp(r, csp)]
+    for result in results:
+        assert BooleanCSP(result.vars, result.domains, result.constraints) == result
+        assert type(result.vars) is tuple and type(result.domains) is dict
+        assert type(result.constraints) is frozenset
+        assert all(type(d) is frozenset for d in result.domains.values())

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from boolprop.consistency import (
-    hyper_arc_consistent,
     hyper_arc_witnesses,
     is_limited,
     problematic_csps,
@@ -19,6 +18,7 @@ from boolprop.model import (
     EMPTY,
     andc,
     bcsp,
+    is_failed,
     iter_solutions,
     notc,
     orc,
@@ -32,23 +32,13 @@ X, Y, Z = variables("x y z")
 
 def test_hyper_arc_examples():
     hac = bcsp((X, Y, Z), {X: 1}, [andc(X, Y, Z)])
-    assert hyper_arc_consistent(hac).hyper_arc
+    assert not hyper_arc_witnesses(hac)
 
     failed = bcsp((X, Y, Z), {X: EMPTY}, [andc(X, Y, Z)])
-    report = hyper_arc_consistent(failed)
-    assert not report.hyper_arc and report.failed
-    assert report.witnesses  # nonempty exactly when not hyper-arc
+    assert hyper_arc_witnesses(failed) and is_failed(failed)
 
     pruned = bcsp((X, Y, Z), {X: 0}, [andc(X, Y, Z)])
-    report = hyper_arc_consistent(pruned)
-    assert not report.hyper_arc
-    assert (andc(X, Y, Z), Z, 1) in report.witnesses
-
-
-def test_witnesses_iff_not_hyper_arc():
-    for csp in single_constraint_csps():
-        report = hyper_arc_consistent(csp)
-        assert report.hyper_arc == (not report.witnesses)
+    assert (andc(X, Y, Z), Z, 1) in hyper_arc_witnesses(pruned)
 
 
 def test_fully_empty_constraint_is_vacuously_consistent():

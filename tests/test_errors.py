@@ -53,6 +53,8 @@ def test_store_to_csp_rejects_incomplete_sequences():
     s = store(eqc(X, Y), pos(Z))
     with pytest.raises(ValueError, match="misses"):
         store_to_csp(s, vars=(X, Y))
+    with pytest.raises(ValueError, match=r"misses \['y'\]"):
+        store_to_csp(s, vars=(X, Z))
 
 
 def test_simulate_rejects_primed_rules():

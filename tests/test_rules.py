@@ -237,9 +237,22 @@ def test_derive_store_examples():
     assert derive_store(store(), BOOL) == []
 
 
-def test_derive_store_stops_at_step_cap():
-    trace = derive_store(store(andc(X, Y, Z), pos(Z)), BOOL, max_steps=0)
-    assert trace == []
+@pytest.mark.parametrize("max_steps", [-1, 0, 1])
+def test_derive_store_raises_on_the_step_past_any_cap(max_steps):
+    chain = store(eqc(X, Y), eqc(Y, Z), pos(X))
+    assert len(derive_store(chain, BOOL, max_steps=2)) == 2
+    with pytest.raises(RuntimeError, match="store derivation exceeded"):
+        derive_store(chain, BOOL, max_steps=max_steps)
+
+
+@given(stores(max_vars=5, max_constraints=5), st.sampled_from([BOOL, BOOL_PRIME]))
+@settings(max_examples=150, deadline=None)
+def test_derive_store_stays_within_its_bound_and_ends_at_a_fixpoint(s, system):
+    trace = derive_store(s, system)
+    bound = 2 * len(store_variables(s)) + 2 * len(s.constraints)
+    assert len(trace) <= bound
+    final = trace[-1].after if trace else s
+    assert all(not apply_rule_store(r, final) for r in system.rules)
 
 
 @given(stores(max_vars=4))
