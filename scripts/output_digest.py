@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Hash every output of the benchmark's workloads, one digest per workload.
+
+Usage: PYTHONPATH=src python scripts/output_digest.py --seed N
+
+Builds the seeded inputs of each ``perfbench`` workload into a temporary
+directory (``perfbench.workloads.build``), makes every request and
+prints one sha256 per workload.  A CLI request contributes its label,
+exit code, stdout and stderr; ``propagate`` and ``solve`` requests are
+made once more with ``--trace``.  A library ``unit_propagate`` request
+contributes its fixpoint and step count.
+
+Two source trees behave the same on a seed when this script, run with
+``PYTHONPATH`` set to each tree's ``src`` in turn, prints the same
+lines.  It reads ``perfbench/`` and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import workloads  # noqa: E402
+from perfbench.checkers import format_clauses  # noqa: E402
+
+_TRACED = ("propagate", "solve")
+
+
+def _outputs(request, workdir: str):
+    """(label, exit code, stdout, stderr) of the request and its traced
+    variant, with the temporary directory's path masked."""
+    import boolprop.cli
+    import boolprop.clauses
+
+    calls = []
+    if request.argv:
+        calls.append(list(request.argv))
+        if request.argv[0] in _TRACED:
+            calls.append([*request.argv, "--trace"])
+    for argv in calls or [None]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            if argv is not None:
+                code = boolprop.cli.run_command(argv)
+            else:
+                fixpoint, steps = boolprop.clauses.unit_propagate(request.clause_set)
+                code = 0
+                print(format_clauses(
+                    ({(l.var.index + 1) * (1 if l.positive else -1) for l in c.literals}
+                     for c in fixpoint),
+                    len(steps),
+                ), end="")
+        label = request.label if argv is None else " ".join(argv)
+        yield tuple(
+            text.replace(workdir, "<work>")
+            for text in (label, str(code), out.getvalue(), err.getvalue())
+        )
+
+
+def digest(name: str, seed: int, limit: int | None = None) -> str:
+    """The sha256 of every output of the workload's requests, in order."""
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = workloads.build(name, seed, Path(tmp))
+        for request in workload.requests[:limit]:
+            for output in _outputs(request, tmp):
+                sha.update(repr(output).encode())
+    return sha.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    for name in workloads.WORKLOADS:
+        print(f"{name} seed {args.seed}: {digest(name, args.seed)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

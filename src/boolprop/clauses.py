@@ -360,11 +360,17 @@ def trans_clause(q: Clause, fresh: FreshVarSource) -> ConstraintStore:
     return ConstraintStore(part.constraints, frozenset({Literal(z, True)}))
 
 
-def translate_clause_set(cs: ClauseSet) -> ConstraintStore:
-    """Translate each clause separately, in canonical clause order."""
+def translate_clause_set(
+    cs: ClauseSet, declared: Iterable[Variable] = ()
+) -> ConstraintStore:
+    """Translate each clause separately, in canonical clause order.
+
+    Helper variables are named and numbered after the clause variables
+    and the ``declared`` ones, so they share no index with either.
+    """
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
-    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals})
+    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals}.union(declared))
     constraints: set[BoolConstraint] = set()
     literals: set[Literal] = set()
     for c in sorted(cs, key=clause_sort_key):

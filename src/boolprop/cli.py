@@ -78,7 +78,7 @@ def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
     """The CSP of a DIMACS file through the standard clause-to-constraint
     translation, and the clause variables in declaration order."""
     clauses, clause_vars = parse_dimacs(text)
-    s = translate_clause_set(clauses - {EMPTY_CLAUSE})
+    s = translate_clause_set(clauses - {EMPTY_CLAUSE}, clause_vars)
     vars = store_variables(s)
     # variables mentioned in no clause stay unconstrained; only this
     # small set, not one of every variable, lives on through store_to_csp

@@ -14,11 +14,9 @@ of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
-    AbstractSet,
     Callable,
     Iterable,
     Iterator,
@@ -29,6 +27,8 @@ from typing import (
 
 from boolprop.bcn import domain_token
 from boolprop.model import (
+    EMPTY,
+    FULL,
     ONE,
     ZERO,
     BoolConstraint,
@@ -50,6 +50,11 @@ ConstraintPattern = tuple[ConstraintKind, tuple[int, ...]]
 # The singleton domain of a value: premises match it, conclusions
 # intersect with it.
 _SINGLETON = (ZERO, ONE)
+
+# A domain as a 2-bit mask, bit v set when v is in it, and back.
+_DOMAIN = (EMPTY, ZERO, ONE, FULL)
+_MASK = {d: m for m, d in enumerate(_DOMAIN)}
+_ROLES = {2: (0, 1), 3: (0, 1, 2)}  # a constraint's roles, by arity
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,20 @@ def rule_discharges_constraint(r: PropagationRule) -> bool:
 
 
 class _CompiledRule(NamedTuple):
-    """A rule with its premise and conclusion as singleton domains."""
+    """A rule as a test on a constraint's domain code, sum(mask << 2 * role).
 
+    ``premise_code`` is the code's premise bits when each premise domain
+    is its singleton; ``change_mask`` has the bits of the concluded
+    domains outside their singletons, or all bits when the rule drops
+    the constraint.  ``_holds`` tests both.
+    """
+
+    premise_mask: int
+    premise_code: int
+    change_mask: int
     index: int  # position in the rule set: the schedule's first key
     rule: PropagationRule
-    premise: tuple[tuple[int, Domain], ...]  # (position, required singleton)
-    conclusion: tuple[tuple[int, Domain], ...]  # (position, singleton to meet)
+    conclusion: tuple[tuple[int, int], ...]  # (position, singleton mask to meet)
 
 
 @dataclass(frozen=True)
@@ -157,11 +170,14 @@ class RuleSet:
         """
         out: dict[ConstraintKind, list[_CompiledRule]] = {k: [] for k in ConstraintKind}
         for index, r in enumerate(self.rules):
+            concluded = r.conclusion_assignments
             out[r.kind].append(_CompiledRule(
+                sum(3 << 2 * p for p, _ in r.premise),
+                sum(1 << v + 2 * p for p, v in r.premise),
+                -1 if r.drops else sum(2 >> v << 2 * p for p, v in concluded),
                 index,
                 r,
-                tuple((p, _SINGLETON[v]) for p, v in r.premise),
-                tuple((p, _SINGLETON[v]) for p, v in r.conclusion_assignments),
+                tuple((p, 1 << v) for p, v in concluded),
             ))
         return {k: tuple(rules) for k, rules in out.items()}
 
@@ -355,60 +371,146 @@ def apply_rule_csp(r: PropagationRule, csp: BooleanCSP) -> list[CspApplication]:
     return steps
 
 
+def _code(masks: list[int], scope: tuple[int, ...]) -> int:
+    """The domain code of a constraint on the positions ``scope``."""
+    code = masks[scope[0]] | masks[scope[1]] << 2
+    return code | masks[scope[2]] << 4 if len(scope) == 3 else code
+
+
+def _holds(cr: _CompiledRule, code: int) -> bool:
+    """The mask test: the rule applies and would change the CSP."""
+    return code & cr.premise_mask == cr.premise_code and code & cr.change_mask != 0
+
+
+class Closure:
+    """A CSP under closure, changed in place and undone through a trail.
+
+    Variables are positions in ``vars`` and constraints are ids.
+    ``masks`` holds each position's domain as a 2-bit mask; per id,
+    ``constraints``, ``scopes`` (positions), ``keys`` (sort keys) and
+    ``alive``; per position, ``occurs`` lists its ids, dropped ones too.
+    ``pending`` holds the ids the next ``close`` must scan.  A trail
+    entry holds a step's (position, mask before) pairs, the id it
+    dropped or -1, and how many ids it added: the last ones, which
+    ``undo`` pops again, so a search state does not grow.
+    """
+
+    def __init__(self, csp: BooleanCSP) -> None:
+        self.vars = csp.vars
+        self.position = position = {v: i for i, v in enumerate(csp.vars)}
+        self.masks = [_MASK[csp.domains[v]] for v in csp.vars]
+        self.constraints = list(csp.constraints)
+        self.scopes = [tuple([position[v] for v in c.vars]) for c in self.constraints]
+        self.keys = [constraint_sort_key(c) for c in self.constraints]
+        self.alive = [True] * len(self.constraints)
+        self.occurs: list[list[int]] = [[] for _ in csp.vars]
+        for i, scope in enumerate(self.scopes):
+            for p in scope:
+                self.occurs[p].append(i)
+        self.pending = list(range(len(self.constraints)))
+        self.trail: list[tuple] = []
+
+    @property
+    def domains(self) -> dict[Variable, Domain]:
+        """The current domains, by variable."""
+        return {v: _DOMAIN[m] for v, m in zip(self.vars, self.masks)}
+
+    def has(self, c: BoolConstraint, scope: tuple[int, ...]) -> bool:
+        """Whether ``c``, on the positions ``scope``, is alive."""
+        constraints, scopes, alive = self.constraints, self.scopes, self.alive
+        return any(
+            alive[i] and scopes[i] == scope and constraints[i].kind is c.kind
+            for i in self.occurs[scope[0]]
+        )
+
+    def restrict(self, v: Variable, d: Domain) -> None:
+        """Meet ``v``'s domain with ``d``; the next ``close`` scans its constraints."""
+        p = self.position[v]
+        self._apply([(p, self.masks[p] & _MASK[d])], -1, [])
+        self.pending.extend(self.occurs[p])
+
+    def _apply(self, moved: list, dropped: int, added: list) -> None:
+        """Set each (position, mask), drop id ``dropped`` unless it is -1
+        and give each (key, constraint, scope) of ``added`` a new id, as
+        one trail entry."""
+        masks, occurs = self.masks, self.occurs
+        before = [(p, masks[p]) for p, _ in moved]
+        for p, mask in moved:
+            masks[p] = mask
+        if dropped >= 0:
+            self.alive[dropped] = False
+        for key, a, scope in added:
+            for p in scope:
+                occurs[p].append(len(self.constraints))
+            self.constraints.append(a)
+            self.scopes.append(scope)
+            self.keys.append(key)
+            self.alive.append(True)
+        self.trail.append((before, dropped, len(added)))
+
+    def undo(self, mark: int) -> None:
+        """Take back every change after the first ``mark`` trail entries."""
+        masks, alive, occurs, trail = self.masks, self.alive, self.occurs, self.trail
+        while len(trail) > mark:
+            moved, dropped, added = trail.pop()
+            for p, before in moved:
+                masks[p] = before
+            if dropped >= 0:
+                alive[dropped] = True
+            for _ in range(added):
+                for p in self.scopes.pop():
+                    occurs[p].pop()
+                self.constraints.pop()
+                self.keys.pop()
+                alive.pop()
+        self.pending = [i for i in self.pending if i < len(alive)]
+
+
 def _change(
     cr: _CompiledRule,
-    c: BoolConstraint,
-    domains: Mapping[Variable, Domain],
-    constraints: AbstractSet[BoolConstraint],
-) -> tuple[list[tuple[Variable, Domain, Domain]], list[BoolConstraint]] | None:
-    """What applying the rule to ``c`` would change.
+    scope: tuple[int, ...],
+    masks: list[int],
+    vars: Sequence[Variable],
+    has: Callable[[BoolConstraint, tuple[int, ...]], bool],
+) -> tuple[list, list]:
+    """What firing the rule on the constraint on the positions ``scope``
+    changes, once its mask test holds.
 
-    Returns the (variable, before, after) domain changes in conclusion
-    order and the replacement constraints not yet present, or None when
-    the premise does not hold or the application would leave the CSP as
-    it is: no domain shrinks, ``c`` is kept and nothing is added.
+    Returns the (position, mask after) pairs in conclusion order and the
+    (key, constraint, positions) of each replacement that ``has`` does
+    not find.
     """
-    vs = c.vars
-    for p, value in cr.premise:
-        if domains[vs[p]] != value:
-            return None
-    changes = []
-    for p, value in cr.conclusion:
-        d = domains[vs[p]]
-        if not d <= value:
-            changes.append((vs[p], d, d & value))
-    r = cr.rule
-    added = [
-        a
-        for a in (BoolConstraint(k, tuple(vs[p] for p in ps)) for k, ps in r.patterns)
-        if a not in constraints
-    ]
-    if changes or added or r.drops:
-        return changes, added
-    return None
+    moved = [(scope[p], masks[scope[p]] & m) for p, m in cr.conclusion if masks[scope[p]] & ~m]
+    added = []
+    for kind, ps in cr.rule.patterns:
+        s = tuple([scope[p] for p in ps])
+        a = BoolConstraint(kind, tuple([vars[p] for p in s]))
+        if not has(a, s):
+            added.append((constraint_sort_key(a), a, s))
+    return moved, added
 
 
 def _is_relevant(
     r: PropagationRule,
     c: BoolConstraint,
-    changes: list[tuple[Variable, Domain, Domain]],
-    added: list[BoolConstraint],
-    domains: Mapping[Variable, Domain],
+    before: dict[Variable, Domain],
+    vars: Sequence[Variable],
+    moved: list,
+    added: list,
 ) -> bool:
-    """Whether the change leaves a CSP that is not a reformulation.
+    """Whether the change ``_change`` found leaves a CSP that is not a
+    reformulation.
 
-    Only the domains of ``c``'s variables, ``c`` itself and the added
-    constraints, which lie on ``c``'s variables, differ between the CSP
-    and its successor, so ``is_reformulation`` is asked about both cut
-    down to those.
+    ``before`` holds the domains of ``c``'s variables.  Only those
+    domains, ``c`` itself and the added constraints, which lie on
+    ``c``'s variables, differ between the CSP and its successor, so
+    ``is_reformulation`` is asked about both cut down to those.
     """
-    before = {v: domains[v] for v in c.vars}
-    after = before | {v: d for v, _, d in changes}
+    after = before | {vars[p]: _DOMAIN[m] for p, m in moved}
+    kept = [a for _, a, _ in added] + ([] if r.drops else [c])
     return not is_reformulation(
         BooleanCSP._of_valid_parts(c.vars, before, frozenset((c,))),
-        BooleanCSP._of_valid_parts(
-            c.vars, after, frozenset(added if r.drops else (c, *added))
-        ),
+        BooleanCSP._of_valid_parts(c.vars, after, frozenset(kept)),
     )
 
 
@@ -417,66 +519,19 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
     Constraints are tried in canonical order, so the work done before
     the first relevant one is found does not depend on hash order.
+    Each is tested on its own masks, so its positions are its roles.
     """
-    by_kind = rs._by_kind
+    by_kind, domains = rs._by_kind, csp.domains
     for c in sorted(csp.constraints, key=constraint_sort_key):
+        masks = [_MASK[domains[v]] for v in c.vars]
+        roles = _ROLES[len(masks)]
+        code = _code(masks, roles)
         for cr in by_kind[c.kind]:
-            change = _change(cr, c, csp.domains, csp.constraints)
-            if change and _is_relevant(cr.rule, c, *change, csp.domains):
-                return False
+            if _holds(cr, code):
+                change = _change(cr, roles, masks, c.vars, lambda a, _: a in csp.constraints)
+                if _is_relevant(cr.rule, c, {v: domains[v] for v in c.vars}, c.vars, *change):
+                    return False
     return True
-
-
-class Closure:
-    """A CSP under closure, changed in place and undone through a trail.
-
-    Holds the domains, the constraint set, an index from each variable
-    to its constraints, the constraints the next ``close`` must scan,
-    and a trail with one entry per step or restriction: its domain
-    changes, the constraint it dropped (or None) and the constraints it
-    added.  ``undo`` takes the trail back to an earlier length, so a
-    search can keep one state for all its branches.
-    """
-
-    def __init__(self, csp: BooleanCSP) -> None:
-        self.vars = csp.vars
-        self.domains = dict(csp.domains)
-        self.constraints = set(csp.constraints)
-        self.occurs: dict[Variable, set[BoolConstraint]] = {v: set() for v in csp.vars}
-        for c in self.constraints:
-            for v in c.vars:
-                self.occurs[v].add(c)
-        self.pending = list(self.constraints)
-        self.trail: list[tuple] = []
-
-    @cached_property
-    def position(self) -> dict[Variable, int]:
-        return {v: i for i, v in enumerate(self.vars)}
-
-    def restrict(self, v: Variable, d: Domain) -> None:
-        """Meet ``v``'s domain with ``d``; the next ``close`` scans its constraints."""
-        before = self.domains[v]
-        self.domains[v] = before & d
-        self.trail.append((((v, before, before & d),), None, ()))
-        self.pending.extend(self.occurs[v])
-
-    def undo(self, mark: int) -> None:
-        """Take back every change after the first ``mark`` trail entries."""
-        domains, constraints, occurs, trail = (
-            self.domains, self.constraints, self.occurs, self.trail
-        )
-        while len(trail) > mark:
-            changes, dropped, added = trail.pop()
-            for v, before, _ in changes:
-                domains[v] = before
-            if dropped is not None:
-                constraints.add(dropped)
-                for v in dropped.vars:
-                    occurs[v].add(dropped)
-            for a in added:
-                constraints.discard(a)
-                for v in a.vars:
-                    occurs[v].discard(a)
 
 
 def close(
@@ -490,9 +545,11 @@ def close(
     an equality, which can happen |C| times; ``max_steps`` defaults to
     that bound, and exceeding it raises RuntimeError.
 
-    Candidate (rule index, constraint key) pairs whose application
-    would change the CSP wait on a heap.  When popped, a candidate is
-    matched again and fired if ``is_reformulation`` finds it relevant.
+    The work runs on a ``Closure``.  Scanning a constraint pushes
+    (rule index, constraint key, id) for each rule of its kind whose
+    mask test holds, that is, whose application would change the CSP.
+    When popped, a candidate is tested again and fired if
+    ``is_reformulation`` finds it relevant.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
     constraints all lie there, so only the constraints on those
@@ -508,58 +565,48 @@ def close(
     """
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
-        max_steps = 2 * len(state.vars) + len(state.constraints)
-    by_kind = rs._by_kind
-    domains, constraints, occurs = state.domains, state.constraints, state.occurs
+        max_steps = 2 * len(state.vars) + sum(state.alive)
+    by_kind, vars, masks = rs._by_kind, state.vars, state.masks
+    constraints, scopes, keys, alive, occurs = (
+        state.constraints, state.scopes, state.keys, state.alive, state.occurs
+    )
     heap: list = []
-    tiebreak = itertools.count()  # never compare constraints on the heap
 
-    def scan(c: BoolConstraint) -> None:
-        for cr in by_kind[c.kind]:
-            if _change(cr, c, domains, constraints) is not None:
-                entry = (cr.index, constraint_sort_key(c), next(tiebreak), cr, c)
-                heapq.heappush(heap, entry)
+    def scan(i: int) -> None:
+        code = _code(masks, scopes[i])
+        for cr in by_kind[constraints[i].kind]:
+            if _holds(cr, code):
+                heapq.heappush(heap, (cr.index, keys[i], i, cr))
 
-    for c in state.pending:
-        scan(c)
+    for i in state.pending:
+        if alive[i]:
+            scan(i)
     state.pending.clear()
     trace: list[CspStep] = []
     while heap:
-        *_, cr, c = heapq.heappop(heap)
-        change = c in constraints and _change(cr, c, domains, constraints)
-        if not change:
+        _, _, i, cr = heapq.heappop(heap)
+        if not alive[i] or not _holds(cr, _code(masks, scopes[i])):
             continue
-        changes, added = change
-        r = cr.rule
-        if not _is_relevant(r, c, changes, added, domains):
+        c, scope, r = constraints[i], scopes[i], cr.rule
+        moved, added = _change(cr, scope, masks, vars, state.has)
+        before = {v: _DOMAIN[masks[p]] for v, p in zip(c.vars, scope)}
+        if not _is_relevant(r, c, before, vars, moved, added):
             continue
         if len(trace) >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
-        for v, _, d in changes:
-            domains[v] = d
-        if len(changes) > 1:  # in declaration order
-            position = state.position
-            changes.sort(key=lambda change: position[change[0]])
-        if r.drops:
-            constraints.discard(c)
-            for v in c.vars:
-                occurs[v].discard(c)
-        for a in added:
-            constraints.add(a)
-            for v in a.vars:
-                occurs[v].add(a)
-        added.sort(key=constraint_sort_key)
-        step = CspStep(r.name, c, tuple(changes), r.drops, tuple(added))
-        state.trail.append((step.domain_changes, c if r.drops else None, step.added))
-        trace.append(step)
-        touched = c.vars if r.drops else [v for v, _, _ in changes]
-        for c2 in {c2 for v in touched for c2 in occurs[v]}:
-            scan(c2)
-    if state is csp:
-        return state, trace
-    if not trace:
+        changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in sorted(moved)])
+        added.sort(key=lambda a: a[0])
+        state._apply(moved, i if r.drops else -1, added)
+        trace.append(CspStep(r.name, c, changes, r.drops, tuple([a for _, a, _ in added])))
+        touched = scope if r.drops else [p for p, _ in moved]
+        for j in {j for p in touched for j in occurs[p] if alive[j]}:
+            scan(j)
+    if state is csp or not trace:
         return csp, trace
-    return BooleanCSP._of_valid_parts(csp.vars, domains, frozenset(constraints)), trace
+    domains = csp.domains | {v: d for step in trace for v, _, d in step.domain_changes}
+    kept = csp.constraints.difference([s.matched_constraint for s in trace if s.dropped])
+    added = [constraints[i] for i in range(len(csp.constraints), len(constraints)) if alive[i]]
+    return BooleanCSP._of_valid_parts(csp.vars, domains, kept.union(added)), trace
 
 
 def derive_store(

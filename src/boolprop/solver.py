@@ -14,7 +14,7 @@ and constraints as a guard against engine bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 from boolprop.model import (
     ONE,
@@ -22,7 +22,6 @@ from boolprop.model import (
     Assignment,
     BooleanCSP,
     Domain,
-    Variable,
     truth_table,
 )
 from boolprop.rules import BOOL, Closure, CspStep, RuleSet, close
@@ -41,10 +40,11 @@ class SolveResult:
     max_depth: int  # most splits above any branch searched
 
 
-def _model_of(csp: BooleanCSP, domains: Mapping[Variable, Domain]) -> Assignment:
+def _model_of(csp: BooleanCSP, masks: Sequence[int]) -> Assignment:
+    """The model of all-singleton domain masks (1 is {0}, 2 is {1})."""
     values = []
-    for v in csp.vars:
-        (value,) = domains[v]
+    for v, mask in zip(csp.vars, masks):
+        value = mask >> 1
         if value not in csp.domains[v]:
             raise RuntimeError(f"closure produced a non-model: {v.name}={value}")
         values.append(value)
@@ -67,7 +67,7 @@ def solve(
     all branches, in execution order.
     """
     state = Closure(csp)
-    domains, vars = state.domains, csp.vars
+    masks, vars = state.masks, csp.vars
     propagations = splits = conflicts = max_depth = 0
     model = None
     # depth-first: the last branch pushed is searched next, so each split
@@ -86,7 +86,7 @@ def solve(
         if trace is not None:
             trace.extend(steps)
         if index < 0:
-            failed = not all(domains.values())
+            failed = 0 in masks
         else:  # from a closed, non-failed parent: only its steps can fail it
             failed = any(not d for step in steps for _, _, d in step.domain_changes)
         if failed:
@@ -95,10 +95,10 @@ def solve(
         # the variables before the parent's split variable were already
         # singletons there, and domains only shrink along a branch
         index += 1
-        while index < len(vars) and len(domains[vars[index]]) != 2:
+        while index < len(vars) and masks[index] != 3:
             index += 1
         if index == len(vars):
-            model = _model_of(csp, domains)
+            model = _model_of(csp, masks)
             break
         splits += 1
         mark = len(state.trail)

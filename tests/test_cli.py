@@ -220,6 +220,19 @@ def test_dimacs_input_is_checked_as_one_csp(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "text", ["p cnf 3 2\n-1 2 0\n0\n", "p cnf 6 2\n-2 4 0\n1 -4 0\n", "p cnf 4 1\n0\n"]
+)
+def test_dimacs_variable_indices_are_distinct_declaration_positions(text):
+    # helpers are numbered after every declared variable, mentioned or not
+    csp, clause_vars = cli._dimacs_csp(text)
+    indices = [v.index for v in csp.vars]
+    assert len(set(indices)) == len(indices)
+    assert [v.index for v in clause_vars] == list(range(len(clause_vars)))
+    helpers = [v.index for v in csp.vars if v not in clause_vars]
+    assert min(helpers) == len(clause_vars)
+
+
 def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "w.cnf"
     f.write_text("p cnf 2 1\n1 3 0\n")

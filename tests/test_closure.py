@@ -7,8 +7,10 @@ match and relevance test must agree with ``apply_rule_csp`` on every
 single-constraint CSP, empty domains included.
 """
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,9 @@ from boolprop.rules import (
     BOOL_PRIME,
     Closure,
     RuleSet,
+    _DOMAIN,
     _change,
+    _holds,
     _is_relevant,
     apply_rule_csp,
     close,
@@ -103,6 +107,12 @@ def _single_constraint_csps_with_empty_domains():
             yield bcsp(vars, dict(zip(vars, doms)), [c])
 
 
+def _mask_test(cr, csp, c):
+    """The compiled premise and change test on ``c``'s domain code."""
+    code = sum(sum(1 << v for v in csp.domains[u]) << 2 * p for p, u in enumerate(c.vars))
+    return _holds(cr, code)
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
 def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     instances = list(_single_constraint_csps_with_empty_domains())
@@ -118,27 +128,27 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
             if c.kind != r.kind:
                 assert not applications
                 continue
-            change = _change(cr, c, csp.domains, csp.constraints)
             unchanged = all(
                 (a.after.domains, a.after.constraints) == (csp.domains, csp.constraints)
                 for a in applications
             )
+            # the mask test holds exactly when an application changes the CSP
+            assert _mask_test(cr, csp, c) == (not unchanged), (r.name, csp)
             if unchanged:
-                assert change is None, (r.name, csp)
                 continue
             (application,) = applications
-            changes, added = change
-            after = csp.with_domains({v: d for v, _, d in changes})
-            constraints = set(csp.constraints) | set(added)
+            state = Closure(csp)
+            moved, added = _change(cr, state.scopes[0], state.masks, csp.vars, state.has)
+            after = csp.with_domains({csp.vars[p]: _DOMAIN[m] for p, m in moved})
+            constraints = set(csp.constraints) | {a for _, a, _ in added}
             if r.drops:
                 constraints.discard(c)
             assert (after.domains, constraints) == (
                 application.after.domains,
                 application.after.constraints,
             ), (r.name, csp)
-            relevant = _is_relevant(r, c, changes, added, csp.domains)
+            relevant = _is_relevant(r, c, dict(csp.domains), csp.vars, moved, added)
             assert relevant == application.relevant, (r.name, csp)
-
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
 def test_close_raises_on_the_step_past_any_cap(max_steps):
@@ -164,22 +174,79 @@ def test_continued_close_raises_on_the_step_past_any_cap(max_steps):
     assert len(close(state, BOOL, max_steps=2)[1]) == 2
 
 
+def _alive(state):
+    return {state.constraints[i] for i, alive in enumerate(state.alive) if alive}
+
+
 @given(csps(max_vars=5, max_constraints=6), st.sampled_from(SYSTEMS), st.data())
 @settings(max_examples=300, deadline=None)
 def test_undo_restores_the_state_a_continued_close_changed(csp, system, data):
     state = Closure(csp)
     close(state, system)
-    mark = len(state.trail)
-    domains, constraints = dict(state.domains), set(state.constraints)
+    mark, ids = len(state.trail), len(state.constraints)
+    masks, alive = list(state.masks), _alive(state)
     v = data.draw(st.sampled_from(csp.vars))
     state.restrict(v, data.draw(st.sampled_from((ZERO, ONE))))
     close(state, system)
     state.undo(mark)
     assert len(state.trail) == mark
-    assert (state.domains, state.constraints) == (domains, constraints)
-    assert state.occurs == {
-        u: {c for c in constraints if u in c.vars} for u in csp.vars
-    }
+    assert (state.masks, _alive(state)) == (masks, alive)
+    # the ids the steps added are popped again, from every per-id list
+    assert len(state.constraints) == ids
+    assert (len(state.scopes), len(state.keys), len(state.alive)) == (ids, ids, ids)
+    assert state.occurs == [
+        [i for i, scope in enumerate(state.scopes) if p in scope]
+        for p in range(len(csp.vars))
+    ]
+
+
+def test_undo_pops_the_ids_a_replacement_added():
+    x, y, z = variables("x y z")
+    state = Closure(bcsp((x, y, z), {}, [BoolConstraint(_K.AND, (x, y, z))]))
+    for _ in range(3):
+        state.restrict(x, ONE)
+        (step,) = close(state, BOOL_PRIME)[1]
+        assert step.rule == "AND 1'" and BoolConstraint(_K.EQ, (y, z)) in _alive(state)
+        state.restrict(y, ONE)  # queues the popped id of eq y z too
+        state.undo(0)
+        assert len(state.constraints) == 1 and state.occurs == [[0], [0], [0]]
+        assert BoolConstraint(_K.EQ, (y, z)) not in _alive(state)
+        assert close(state, BOOL_PRIME) == (state, [])
+
+
+def test_a_dropped_constraint_is_added_again_under_a_new_id():
+    w, y, z = variables("w y z")
+    eq = BoolConstraint(_K.EQ, (y, z))
+    state = Closure(bcsp((w, y, z), {y: 1}, [eq, BoolConstraint(_K.AND, (w, y, z))]))
+    (step,) = close(state, ADDS_ONLY)[1]
+    assert (step.rule, step.dropped) == ("EQU 1", True) and eq not in _alive(state)
+    state.restrict(w, ZERO)
+    (step,) = close(state, ADDS_ONLY)[1]
+    assert (step.rule, step.added) == ("AND 4*", (eq,)) and eq in _alive(state)
+    assert len(state.constraints) == 3
+
+
+@given(csps(max_vars=5, max_constraints=6), st.sampled_from((BOOL, BOOL_PRIME)))
+@settings(max_examples=100, deadline=None)
+def test_closure_domains_map_every_variable_to_a_frozenset(csp, system):
+    # perfbench's tracer reads close(state, rs)[0].domains for empty domains
+    state, _ = close(Closure(csp), system)
+    domains = state.domains
+    assert list(domains) == list(csp.vars)
+    assert all(type(d) is frozenset and d <= FULL for d in domains.values())
+    assert domains == close(csp, system)[0].domains
+
+
+def test_compiled_rules_are_freed_with_their_rule_set():
+    reduced = BOOL.without("AND 1")
+    x, y, z = variables("x y z")
+    csp = bcsp((x, y, z), {x: 0}, [BoolConstraint(_K.AND, (x, y, z))])
+    assert [step.rule for step in close(csp, reduced)[1]] == ["AND 4"]
+    assert "_by_kind" in vars(reduced)
+    ref = weakref.ref(reduced)
+    del reduced
+    gc.collect()
+    assert ref() is None
 
 
 @given(csps(max_vars=5, max_constraints=6), st.sampled_from((BOOL, BOOL_PRIME)))
