@@ -53,7 +53,6 @@ from boolprop.rules import (
     builtin_ruleset,
     close,
     closed_under,
-    derive_store,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "builtin_ruleset",
     "close",
     "closed_under",
-    "derive_store",
     "eqc",
     "equivalent",
     "is_failed",

@@ -194,14 +194,16 @@ class BooleanCSP:
             self, "domains", {v: as_domain(d) for v, d in self.domains.items()}
         )
         object.__setattr__(self, "constraints", frozenset(self.constraints))
-        names = [v.name for v in self.vars]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in CSP: {names}")
-        if set(self.domains) != set(self.vars):
+        if len({v.name for v in self.vars}) != len(self.vars):
+            raise ValueError(f"duplicate variable names in CSP: {[v.name for v in self.vars]}")
+        # Distinct names make distinct variables, so a count and a lookup
+        # per variable show that the domains cover exactly them.
+        domains = self.domains
+        if len(domains) != len(self.vars) or not all(v in domains for v in self.vars):
             raise ValueError("domains must be defined for exactly the CSP variables")
         for c in self.constraints:
             for v in c.vars:
-                if v not in self.domains:
+                if v not in domains:
                     raise ValueError(f"constraint {c} uses undeclared variable {v}")
 
     @classmethod

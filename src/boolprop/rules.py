@@ -40,7 +40,6 @@ from boolprop.model import (
     Variable,
     constraint_sort_key,
     is_reformulation,
-    store_variables,
     truth_table,
 )
 
@@ -94,14 +93,6 @@ class PropagationRule:
     def drops(self) -> bool:
         """Whether firing removes the matched constraint."""
         return bool(self.patterns) or rule_discharges_constraint(self)
-
-    @property
-    def premise_map(self) -> dict[int, int]:
-        return dict(self.premise)
-
-    @property
-    def conclusion_map(self) -> dict[int, int]:
-        return dict(self.conclusion_assignments)
 
 
 def rule(
@@ -466,52 +457,41 @@ class Closure:
         self.pending = [i for i in self.pending if i < len(alive)]
 
 
-def _change(
+def _relevant_change(
     cr: _CompiledRule,
+    c: BoolConstraint,
     scope: tuple[int, ...],
     masks: list[int],
     vars: Sequence[Variable],
     has: Callable[[BoolConstraint, tuple[int, ...]], bool],
-) -> tuple[list, list]:
-    """What firing the rule on the constraint on the positions ``scope``
-    changes, once its mask test holds.
+) -> tuple[list, list] | None:
+    """What firing the rule on ``c``, on the positions ``scope``, changes
+    once its mask test holds, or None when the step is a reformulation.
 
     Returns the (position, mask after) pairs in conclusion order and the
     (key, constraint, positions) of each replacement that ``has`` does
-    not find.
+    not find.  Only the domains of ``c``'s variables, ``c`` itself and
+    the added constraints, which lie on ``c``'s variables, differ
+    between the CSP and its successor, so ``is_reformulation`` is asked
+    about both cut down to those.
     """
+    r = cr.rule
     moved = [(scope[p], masks[scope[p]] & m) for p, m in cr.conclusion if masks[scope[p]] & ~m]
     added = []
-    for kind, ps in cr.rule.patterns:
+    for kind, ps in r.patterns:
         s = tuple([scope[p] for p in ps])
         a = BoolConstraint(kind, tuple([vars[p] for p in s]))
         if not has(a, s):
             added.append((constraint_sort_key(a), a, s))
-    return moved, added
-
-
-def _is_relevant(
-    r: PropagationRule,
-    c: BoolConstraint,
-    before: dict[Variable, Domain],
-    vars: Sequence[Variable],
-    moved: list,
-    added: list,
-) -> bool:
-    """Whether the change ``_change`` found leaves a CSP that is not a
-    reformulation.
-
-    ``before`` holds the domains of ``c``'s variables.  Only those
-    domains, ``c`` itself and the added constraints, which lie on
-    ``c``'s variables, differ between the CSP and its successor, so
-    ``is_reformulation`` is asked about both cut down to those.
-    """
+    before = {v: _DOMAIN[masks[p]] for v, p in zip(c.vars, scope)}
     after = before | {vars[p]: _DOMAIN[m] for p, m in moved}
     kept = [a for _, a, _ in added] + ([] if r.drops else [c])
-    return not is_reformulation(
+    if is_reformulation(
         BooleanCSP._of_valid_parts(c.vars, before, frozenset((c,))),
         BooleanCSP._of_valid_parts(c.vars, after, frozenset(kept)),
-    )
+    ):
+        return None
+    return moved, added
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
@@ -522,15 +502,14 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
     Each is tested on its own masks, so its positions are its roles.
     """
     by_kind, domains = rs._by_kind, csp.domains
+    has = lambda a, _: a in csp.constraints
     for c in sorted(csp.constraints, key=constraint_sort_key):
         masks = [_MASK[domains[v]] for v in c.vars]
         roles = _ROLES[len(masks)]
         code = _code(masks, roles)
         for cr in by_kind[c.kind]:
-            if _holds(cr, code):
-                change = _change(cr, roles, masks, c.vars, lambda a, _: a in csp.constraints)
-                if _is_relevant(cr.rule, c, {v: domains[v] for v in c.vars}, c.vars, *change):
-                    return False
+            if _holds(cr, code) and _relevant_change(cr, c, roles, masks, c.vars, has):
+                return False
     return True
 
 
@@ -549,7 +528,7 @@ def close(
     (rule index, constraint key, id) for each rule of its kind whose
     mask test holds, that is, whose application would change the CSP.
     When popped, a candidate is tested again and fired if
-    ``is_reformulation`` finds it relevant.
+    ``_relevant_change`` finds it relevant, as ``closed_under`` does.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
     constraints all lie there, so only the constraints on those
@@ -588,10 +567,10 @@ def close(
         if not alive[i] or not _holds(cr, _code(masks, scopes[i])):
             continue
         c, scope, r = constraints[i], scopes[i], cr.rule
-        moved, added = _change(cr, scope, masks, vars, state.has)
-        before = {v: _DOMAIN[masks[p]] for v, p in zip(c.vars, scope)}
-        if not _is_relevant(r, c, before, vars, moved, added):
+        change = _relevant_change(cr, c, scope, masks, vars, state.has)
+        if change is None:
             continue
+        moved, added = change
         if len(trace) >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
         changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in sorted(moved)])
@@ -609,32 +588,6 @@ def close(
     return BooleanCSP._of_valid_parts(csp.vars, domains, kept.union(added)), trace
 
 
-def derive_store(
-    s: ConstraintStore, rs: RuleSet, max_steps: int | None = None
-) -> list[StoreStep]:
-    """A deterministic store derivation run to fixpoint.
-
-    Schedule: lowest rule index first, then canonical match order.  Each
-    step adds a literal, which can happen 2|V| times, or drops a
-    constraint.  A drop removes one of the |C| given constraints or an
-    equality that replaced a dropped AND or OR, so there are at most
-    2|C| drops; ``max_steps`` defaults to 2|V| + 2|C|, and exceeding it
-    raises RuntimeError.
-    """
-    if max_steps is None:
-        max_steps = 2 * len(store_variables(s)) + 2 * len(s.constraints)
-    trace: list[StoreStep] = []
-    current = s
-    while step := next(
-        (st for r in rs.rules for st in apply_rule_store(r, current)), None
-    ):
-        if len(trace) >= max_steps:
-            raise RuntimeError(f"store derivation exceeded {max_steps} steps")
-        trace.append(step)
-        current = step.after
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -648,20 +601,16 @@ _KIND_TEMPLATES = {
 }
 
 
-def _render_pattern(kind: ConstraintKind, names: Sequence[str]) -> str:
-    return _KIND_TEMPLATES[kind].format(*names)
-
-
 def format_rule(r: PropagationRule) -> str:
     """One line in the rule-table style, e.g. ``AND 6  x /\\ y = z, z = 1 -> x = 1, y = 1``."""
     roles = _ROLE_NAMES[r.kind.arity]
     premise = ", ".join(f"{roles[p]} = {v}" for p, v in r.premise)
     concl_parts = [f"{roles[p]} = {v}" for p, v in r.conclusion_assignments]
     concl_parts += [
-        _render_pattern(kind, [roles[p] for p in positions])
+        _KIND_TEMPLATES[kind].format(*[roles[p] for p in positions])
         for kind, positions in r.patterns
     ]
-    head = _render_pattern(r.kind, roles)
+    head = _KIND_TEMPLATES[r.kind].format(*roles)
     return f"{r.name:<7} {head}, {premise} -> {', '.join(concl_parts)}"
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from boolprop.model import (
     ZERO,
     Assignment,
     BoolConstraint,
+    BooleanCSP,
     ConstraintKind,
     andc,
     bcsp,
@@ -30,6 +32,7 @@ from boolprop.model import (
     store_satisfied,
     store_to_csp,
     store_variables,
+    Variable,
     truth_table,
     variables,
 )
@@ -50,6 +53,20 @@ def test_constraint_rejects_repeated_variables():
         andc(X, X, Z)
     with pytest.raises(ValueError):
         eqc(Y, Y)
+
+
+def test_csp_rejects_malformed_parts_with_its_messages():
+    cases = [
+        (((X, Variable("x", 1)), {X: FULL}, ()), "duplicate variable names in CSP: ['x', 'x']"),
+        (((X, Y), {X: FULL}, ()), "domains must be defined for exactly the CSP variables"),
+        (((X, Y), {X: FULL, Z: FULL}, ()), "domains must be defined for exactly the CSP variables"),
+        (((X,), {X: FULL, Y: FULL}, ()), "domains must be defined for exactly the CSP variables"),
+        (((X,), {X: FULL}, (eqc(X, Y),)), "constraint eq x y uses undeclared variable y"),
+        (((X,), {X: {0, 2}}, ()), "domain members must be 0 or 1, got [0, 2]"),
+    ]
+    for (vars, domains, constraints), message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BooleanCSP(vars, domains, constraints)
 
 
 def test_restricted_relation():

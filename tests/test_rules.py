@@ -35,7 +35,6 @@ from boolprop.rules import (
     builtin_ruleset,
     close,
     closed_under,
-    derive_store,
     format_csp_step,
     rule_discharges_constraint,
 )
@@ -65,15 +64,15 @@ def test_bool_prime_structure():
     assert len(names) == 20
     assert "AND 1'" in names and "OR 2'" in names and "AND 4" in names
     and1 = BOOL_PRIME.by_name("AND 1'")
-    assert and1.premise_map == {0: 1}
+    assert dict(and1.premise) == {0: 1}
     assert not and1.conclusion_assignments
     assert and1.conclusion_constraints == {(ConstraintKind.EQ, (1, 2))}
 
 
 def test_and6_shape():
     and6 = BOOL.by_name("AND 6")
-    assert and6.premise_map == {2: 1}
-    assert and6.conclusion_map == {0: 1, 1: 1}
+    assert dict(and6.premise) == {2: 1}
+    assert dict(and6.conclusion_assignments) == {0: 1, 1: 1}
 
 
 def test_builtin_ruleset_lookup():
@@ -223,45 +222,6 @@ def test_close_is_idempotent():
     once, _ = close(csp, BOOL)
     twice, trace = close(once, BOOL)
     assert twice == once and trace == []
-
-
-def test_derive_store_examples():
-    trace = derive_store(store(andc(X, Y, Z), pos(Z)), BOOL)
-    assert [s.rule for s in trace] == ["AND 6"]
-    assert trace[-1].after == store(pos(X), pos(Y), pos(Z))
-
-    trace = derive_store(store(eqc(X, Y), pos(X)), BOOL)
-    assert [s.rule for s in trace] == ["EQU 1"]
-    assert trace[-1].after == store(pos(X), pos(Y))
-
-    assert derive_store(store(), BOOL) == []
-
-
-@pytest.mark.parametrize("max_steps", [-1, 0, 1])
-def test_derive_store_raises_on_the_step_past_any_cap(max_steps):
-    chain = store(eqc(X, Y), eqc(Y, Z), pos(X))
-    assert len(derive_store(chain, BOOL, max_steps=2)) == 2
-    with pytest.raises(RuntimeError, match="store derivation exceeded"):
-        derive_store(chain, BOOL, max_steps=max_steps)
-
-
-@given(stores(max_vars=5, max_constraints=5), st.sampled_from([BOOL, BOOL_PRIME]))
-@settings(max_examples=150, deadline=None)
-def test_derive_store_stays_within_its_bound_and_ends_at_a_fixpoint(s, system):
-    trace = derive_store(s, system)
-    bound = 2 * len(store_variables(s)) + 2 * len(s.constraints)
-    assert len(trace) <= bound
-    final = trace[-1].after if trace else s
-    assert all(not apply_rule_store(r, final) for r in system.rules)
-
-
-@given(stores(max_vars=4))
-@settings(max_examples=60)
-def test_derive_store_is_deterministic(s):
-    first = derive_store(s, BOOL)
-    second = derive_store(s, BOOL)
-    assert first == second
-    assert derive_store(s, BOOL_PRIME) == derive_store(s, BOOL_PRIME)
 
 
 def test_trace_format_is_stable():
