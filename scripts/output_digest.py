@@ -10,6 +10,12 @@ exit code, stdout and stderr; ``propagate`` and ``solve`` requests are
 made once more with ``--trace``.  A library ``unit_propagate`` request
 contributes its fixpoint and step count.
 
+A last line, ``reductions``, hashes what the two simulation harnesses
+build, which ``verify`` reduces to counts: the unit-step script of
+``simulate_bool_by_unit`` on each BOOL rule's minimal store, and
+``simulate_unit_by_bool``'s ``(S1, S2, derivation, C)`` for every unit
+step of 300 seeded ``random_clause_set`` sets.
+
 Two source trees behave the same on a seed when this script, run with
 ``PYTHONPATH`` set to each tree's ``src`` in turn, prints the same
 lines.  It reads ``perfbench/`` and changes nothing there.
@@ -21,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -75,12 +82,42 @@ def digest(name: str, seed: int, limit: int | None = None) -> str:
     return sha.hexdigest()
 
 
+def reductions_digest(seed: int, sets: int = 300) -> str:
+    """The sha256 of both harnesses' outputs, with stores and clauses
+    rendered by ``str``, which is canonical."""
+    from boolprop.clauses import (
+        minimal_matching_store,
+        random_clause_set,
+        simulate_bool_by_unit,
+        simulate_unit_by_bool,
+        unit_step,
+    )
+    from boolprop.rules import BOOL, apply_rule_store
+
+    sha = hashlib.sha256()
+    for r in BOOL.rules:
+        s1 = minimal_matching_store(r)
+        (step,) = apply_rule_store(r, s1)
+        script = simulate_bool_by_unit(s1, step)
+        sha.update(repr([(u.op, str(u.unit), str(u.target), str(u.remainder))
+                         for u in script]).encode())
+    rng = random.Random(seed)
+    for _ in range(sets):
+        cs = random_clause_set(rng)
+        for step in unit_step(cs):
+            s1, s2, derivation, c = simulate_unit_by_bool(cs, step)
+            rules = [(d.rule, str(d.matched_constraint)) for d in derivation]
+            sha.update(repr((str(s1), str(s2), rules, str(c))).encode())
+    return sha.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     for name in workloads.WORKLOADS:
         print(f"{name} seed {args.seed}: {digest(name, args.seed)}")
+    print(f"reductions seed {args.seed}: {reductions_digest(args.seed)}")
     return 0
 
 

@@ -28,11 +28,14 @@ from boolprop.model import (
     ConstraintStore,
     Literal,
     Variable,
+    eqc,
     iter_solutions,
     literal_sort_key,
     neg,
+    notc,
     orc,
     pos,
+    store,
     store_to_csp,
     store_variables,
     variables,
@@ -316,23 +319,30 @@ class FreshVarSource:
         return v
 
 
-def _trans_ordered(
-    lits: Sequence[Literal], target: Variable, fresh: FreshVarSource
-) -> frozenset[BoolConstraint]:
+def _chain(
+    lits: Sequence[Literal], fresh: FreshVarSource, target: Variable | None = None
+) -> tuple[list[BoolConstraint], Variable]:
     """Constraints asserting ``target = (disjunction of lits)``, consuming
-    the literals in the given order."""
-    first, rest = lits[0], lits[1:]
-    if not rest:
-        kind = ConstraintKind.EQ if first.positive else ConstraintKind.NOT
-        return frozenset({BoolConstraint(kind, (first.var, target))})
-    if first.positive:
+    the literals in the given order, and the target (a fresh root when
+    none is given).  The list runs head first: the first literal's NOT
+    onto a fresh helper when that literal is negative, then its OR, whose
+    second input the rest of the chain equates with the other literals.
+    """
+    if not lits:
+        raise ValueError("cannot translate the empty clause")
+    root = fresh.fresh() if target is None else target
+    chain: list[BoolConstraint] = []
+    out = root
+    for lit in lits[:-1]:
+        head = lit.var if lit.positive else fresh.fresh()
         y = fresh.fresh()
-        return frozenset({orc(first.var, y, target)}) | _trans_ordered(rest, y, fresh)
-    v = fresh.fresh()
-    y = fresh.fresh()
-    return frozenset(
-        {BoolConstraint(ConstraintKind.NOT, (first.var, v)), orc(v, y, target)}
-    ) | _trans_ordered(rest, y, fresh)
+        if not lit.positive:
+            chain.append(notc(lit.var, head))
+        chain.append(orc(head, y, out))
+        out = y
+    last = lits[-1]
+    chain.append(eqc(last.var, out) if last.positive else notc(last.var, out))
+    return chain, root
 
 
 def trans_clause_eq(
@@ -343,21 +353,17 @@ def trans_clause_eq(
     Literals are consumed in canonical order (by variable index, positive
     before negative); each non-unit step introduces fresh variables.
     """
-    if q.is_empty:
-        raise ValueError("cannot translate the empty clause")
-    return ConstraintStore(_trans_ordered(q.ordered(), target, fresh), frozenset())
+    chain, _ = _chain(q.ordered(), fresh, target)
+    return ConstraintStore(frozenset(chain), frozenset())
 
 
 def trans_clause(q: Clause, fresh: FreshVarSource) -> ConstraintStore:
     """A store equisatisfiable with the clause (unit -> its literal,
     otherwise a fresh root variable asserted true)."""
-    if q.is_empty:
-        raise ValueError("cannot translate the empty clause")
     if q.is_unit:
         return ConstraintStore(frozenset(), frozenset({q.unit_literal}))
-    z = fresh.fresh()
-    part = trans_clause_eq(q, z, fresh)
-    return ConstraintStore(part.constraints, frozenset({Literal(z, True)}))
+    chain, root = _chain(q.ordered(), fresh)
+    return ConstraintStore(frozenset(chain), frozenset({Literal(root, True)}))
 
 
 def translate_clause_set(
@@ -388,6 +394,37 @@ def translate_clause_set(
 _MAX_ENUM_VARS = 24
 
 
+def _extendable(
+    c: ConstraintStore, s: ConstraintStore
+) -> tuple[list[Variable], set[tuple[int, ...]]]:
+    """The variables ``c`` shares with ``s``, and the valuations of them
+    that extend to a solution of ``c``."""
+    c_csp = store_to_csp(c)
+    s_vars = set(store_variables(s))
+    at = [i for i, v in enumerate(c_csp.vars) if v in s_vars]
+    extendable = {tuple(a.values[i] for i in at) for a in iter_solutions(c_csp)}
+    return [c_csp.vars[i] for i in at], extendable
+
+
+def _projects_into(
+    s: ConstraintStore, shared: Sequence[Variable], extendable: set[tuple[int, ...]]
+) -> bool:
+    """Every solution of ``s``, restricted to ``shared``, is extendable."""
+    if len(extendable) == 2 ** len(shared):
+        return True
+    s_csp = store_to_csp(s)
+    if len(s_csp.vars) > _MAX_ENUM_VARS:
+        raise ValueError(
+            f"store has {len(s_csp.vars)} variables; brute-force check capped at "
+            f"{_MAX_ENUM_VARS}"
+        )
+    position = {v: i for i, v in enumerate(s_csp.vars)}
+    at = [position[v] for v in shared]
+    return all(
+        tuple(a.values[j] for j in at) in extendable for a in iter_solutions(s_csp)
+    )
+
+
 def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
     """Every valuation satisfying ``s`` extends (over ``c``'s extra
     variables) to one satisfying ``c``.
@@ -399,31 +436,12 @@ def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
     enumerated, which requires its variable count to stay within
     ``_MAX_ENUM_VARS``.
     """
-    c_csp = store_to_csp(c)
-    s_csp = store_to_csp(s)
-    s_position = {v: i for i, v in enumerate(s_csp.vars)}
-    shared = [(i, s_position[v]) for i, v in enumerate(c_csp.vars) if v in s_position]
-    extendable = {
-        tuple(a.values[i] for i, _ in shared) for a in iter_solutions(c_csp)
-    }
-    if len(extendable) == 2 ** len(shared):
-        return True
-    if len(s_csp.vars) > _MAX_ENUM_VARS:
-        raise ValueError(
-            f"store has {len(s_csp.vars)} variables; brute-force check capped at "
-            f"{_MAX_ENUM_VARS}"
-        )
-    return all(
-        tuple(a.values[j] for _, j in shared) in extendable
-        for a in iter_solutions(s_csp)
-    )
+    return _projects_into(s, *_extendable(c, s))
 
 
 # ---------------------------------------------------------------------------
 # Simulation: store-level rule step -> unit propagation
 # ---------------------------------------------------------------------------
-
-_BOOL_BY_NAME = {r.name: r for r in BOOL.rules}
 
 
 def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep]:
@@ -432,50 +450,43 @@ def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep
     The script works the premise literals in reverse rule order --
     resolving the matched constraint's clauses against each, then
     subsuming the ones the premise satisfies -- and finally subsumes
-    leftovers with the concluded units.  Steps whose target must survive
-    (because another constraint contributes the same clause) are skipped.
-    Raises SimulationError if the translated result is not reached.
+    leftovers with the concluded units that are available.  Steps whose
+    target must survive (because another constraint contributes the same
+    clause) are skipped.  Raises SimulationError if a premise unit is
+    missing or the translated result is not reached.
     """
-    if step.rule not in _BOOL_BY_NAME:
-        raise ValueError(f"simulation is defined for the BOOL rules, not {step.rule}")
-    r = _BOOL_BY_NAME[step.rule]
+    try:
+        r = BOOL.by_name(step.rule)
+    except KeyError:
+        raise ValueError(
+            f"simulation is defined for the BOOL rules, not {step.rule}"
+        ) from None
     c = step.matched_constraint
-    phi1 = constraints_to_clauses(s1)
+    current = constraints_to_clauses(s1)
     phi2 = constraints_to_clauses(step.after)
-    current = phi1
-    steps: list[UnitStep] = []
     work = {q for q in constraint_clauses(c) if q not in phi2}
-
-    def unit_available(u: Literal) -> bool:
-        return clause(u) in current
-
-    def do(op: str, u: Literal, target: Clause) -> None:
-        nonlocal current
-        if not unit_available(u):
-            raise SimulationError(f"unit {u} not available while replaying {step.rule}")
-        remainder = Clause(target.literals - {u.negated()}) if op == RESOLVE else None
-        if remainder is not None and remainder not in phi2:
-            work.add(remainder)
-        steps.append(UnitStep(op, u, target, remainder))
-        current = apply_unit_step(current, steps[-1])
-
-    premise_lits = [Literal(c.vars[p], v == 1) for p, v in r.premise]
-    conclusion_lits = [Literal(c.vars[p], v == 1) for p, v in r.conclusion_assignments]
-
-    for u in reversed(premise_lits):
+    premise = [Literal(c.vars[p], v == 1) for p, v in reversed(r.premise)]
+    script = [(op, u) for u in premise for op in (RESOLVE, SUBSUME)]
+    concluded = [Literal(c.vars[p], v == 1) for p, v in r.conclusion_assignments]
+    script += [(SUBSUME, u) for u in concluded]
+    steps: list[UnitStep] = []
+    for op, u in script:
+        hit = u.negated() if op == RESOLVE else u
         for q in sorted(work, key=clause_sort_key):
-            if u.negated() in q.literals:
-                work.discard(q)
-                do(RESOLVE, u, q)
-        for q in sorted(work, key=clause_sort_key):
-            if u in q.literals:
-                work.discard(q)
-                do(SUBSUME, u, q)
-    for u in conclusion_lits:
-        for q in sorted(work, key=clause_sort_key):
-            if u in q.literals and unit_available(u):
-                work.discard(q)
-                do(SUBSUME, u, q)
+            if hit not in q.literals:
+                continue
+            if clause(u) not in current:
+                if u not in premise:
+                    continue  # a concluded unit subsumes only once it is there
+                raise SimulationError(
+                    f"unit {u} not available while replaying {step.rule}"
+                )
+            work.discard(q)
+            remainder = Clause(q.literals - {hit}) if op == RESOLVE else None
+            if remainder is not None and remainder not in phi2:
+                work.add(remainder)
+            steps.append(UnitStep(op, u, q, remainder))
+            current = apply_unit_step(current, steps[-1])
 
     if current != phi2:
         raise SimulationError(
@@ -493,78 +504,28 @@ def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep
 # ---------------------------------------------------------------------------
 
 
-def _pick_step(
-    s: ConstraintStore, rule_name: str, matched: BoolConstraint
-) -> StoreStep:
-    r = _BOOL_BY_NAME[rule_name]
-    for st in apply_rule_store(r, s):
-        if st.matched_constraint == matched:
-            return st
-    raise SimulationError(f"{rule_name} does not apply to {matched} in {s}")
-
-
-def _store_components(s: ConstraintStore) -> list[ConstraintStore]:
-    """Split a store into variable-connected components."""
-    items = list(s.items())
-    parent = list(range(len(items)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var: dict[Variable, int] = {}
-    for i, item in enumerate(items):
-        vars = item.vars if isinstance(item, BoolConstraint) else (item.var,)
-        for v in vars:
-            if v in by_var:
-                parent[find(i)] = find(by_var[v])
-            else:
-                by_var[v] = i
-    groups: dict[int, list] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(find(i), []).append(item)
-    out = []
-    for members in groups.values():
-        cons = frozenset(m for m in members if isinstance(m, BoolConstraint))
-        lits = frozenset(m for m in members if isinstance(m, Literal))
-        out.append(ConstraintStore(cons, lits))
-    return out
-
-
-def _redundant_follows(
+def _check_redundant(
     redundant: ConstraintStore,
     s2: ConstraintStore,
     certificates: Sequence[ConstraintStore],
-) -> bool:
-    """Check the redundant set against the result, component-wise.
+) -> None:
+    """Raise SimulationError unless the redundant set is satisfiable and
+    follows from the result.
 
-    A component sharing no variables with the result just needs to be
-    satisfiable.  A component that does share variables is checked
-    against a small certificate sub-store of the result covering those
-    variables (when one of the per-clause translations does), which is
-    sound: any sub-store covering the shared variables over-approximates
-    the result's projection onto them.  Components with no usable
-    certificate fall back to the direct check.
+    The set is enumerated once, over the variables it shares with the
+    result, whose solutions must restrict to extendable valuations of
+    them.  Each certificate (a per-clause translation in the result) that
+    covers them is a sound, small stand-in, since the result's solutions
+    project into its solutions; the result itself is tried last.
     """
-    s2_vars = set(store_variables(s2))
-    for comp in _store_components(redundant):
-        comp_vars = store_variables(comp)
-        shared = [v for v in comp_vars if v in s2_vars]
-        if not shared:
-            if next(iter_solutions(store_to_csp(comp)), None) is None:
-                return False
-            continue
-        covering = [
-            cert
-            for cert in certificates
-            if set(shared) <= set(store_variables(cert))
-        ]
-        if not any(semantically_follows(comp, cert) for cert in covering):
-            if not semantically_follows(comp, s2):
-                return False
-    return True
+    shared, extendable = _extendable(redundant, s2)
+    stand_ins = (
+        t for t in [*certificates, s2] if set(shared).issubset(store_variables(t))
+    )
+    if not extendable or not any(
+        _projects_into(t, shared, extendable) for t in stand_ins
+    ):
+        raise SimulationError("redundant remainder does not follow from the result")
 
 
 def simulate_unit_by_bool(
@@ -592,15 +553,12 @@ def simulate_unit_by_bool(
     parts: dict[Clause, ConstraintStore] = {}
     for q in sorted(phi1, key=clause_sort_key):
         if q == step.target and not q.is_unit:
-            root = fresh.fresh()
-            chain = _trans_ordered(target_lits, root, fresh)
-            parts[q] = ConstraintStore(chain, frozenset({Literal(root, True)}))
+            chain, root = _chain(target_lits, fresh)
+            parts[q] = store(*chain, Literal(root, True))
         else:
             parts[q] = trans_clause(q, fresh)
 
-    s1 = ConstraintStore()
-    for q in phi1:
-        s1 = s1.union(parts[q])
+    s1 = functools.reduce(ConstraintStore.union, parts.values(), ConstraintStore())
 
     if step.op == RESOLVE and step.target.is_unit:
         # complementary units: the result contains the empty clause and the
@@ -610,69 +568,48 @@ def simulate_unit_by_bool(
     # the head OR outputs the root; a negative selected literal enters it
     # through a NOT onto a fresh helper; the rest of the chain says that
     # the OR's second input equals the remainder of the clause
-    (head_or,) = (
-        c for c in chain if c.kind == ConstraintKind.OR and c.vars[2] == root
-    )
-    head_not = (
-        None
-        if selected.positive
-        else BoolConstraint(ConstraintKind.NOT, (selected.var, head_or.vars[0]))
-    )
-    remainder = chain - {head_or, head_not}
+    head_not, head_or, *remainder = [None, *chain] if selected.positive else chain
 
-    # translation of the clause set after the step
-    s2 = ConstraintStore()
-    for q in phi2:
-        if q in parts:
-            s2 = s2.union(parts[q])
-        elif q == step.remainder:
-            if q.is_unit:
-                s2 = s2.union(
-                    ConstraintStore(frozenset(), frozenset({q.unit_literal}))
-                )
-            else:
-                y = head_or.vars[1]
-                s2 = s2.union(ConstraintStore(remainder, frozenset({Literal(y, True)})))
-        else:  # pragma: no cover - the result contains only the above
-            raise SimulationError(f"unexpected clause {q} in the step result")
+    # translation of the clause set after the step: the kept clauses'
+    # parts and, for a new remainder, its literal or the rest of the chain
+    kept = [parts[q] for q in sorted(phi2 & phi1, key=clause_sort_key)]
+    s2 = functools.reduce(ConstraintStore.union, kept, ConstraintStore())
+    if step.op == RESOLVE and step.remainder not in phi1:
+        s2 = s2.union(
+            store(step.remainder.unit_literal)
+            if step.remainder.is_unit
+            else store(*remainder, Literal(head_or.vars[1], True))
+        )
 
-    # the derivation scripts, by case
+    # the derivation script: a negative selected literal first sets the
+    # head NOT's helper (NOT 1 from unit x against -x | Q, NOT 2 from unit
+    # -x subsuming -x | Q); then OR 3 exposes Q's root, or OR 1 satisfies
+    # the head OR; a unit remainder Q is read off its EQ or NOT link
+    resolve = step.op == RESOLVE
+    script = [] if head_not is None else [("NOT 1" if resolve else "NOT 2", head_not)]
+    script.append(("OR 3" if resolve else "OR 1", head_or))
+    if resolve and step.remainder.is_unit:
+        (q_con,) = remainder
+        script.append(("EQU 2" if q_con.kind == ConstraintKind.EQ else "NOT 3", q_con))
     derivation: list[StoreStep] = []
     current = s1
-
-    def apply(rule_name: str, matched: BoolConstraint) -> None:
-        nonlocal current
-        st = _pick_step(current, rule_name, matched)
+    for rule_name, matched in script:
+        for st in apply_rule_store(BOOL.by_name(rule_name), current):
+            if st.matched_constraint == matched:
+                break
+        else:
+            raise SimulationError(
+                f"{rule_name} does not apply to {matched} in {current}"
+            )
         derivation.append(st)
         current = st.after
-
-    if step.op == RESOLVE:
-        if not u.positive:
-            # unit -x against clause x | Q: one OR 3 step exposes Q's root
-            apply("OR 3", head_or)
-        else:
-            # unit x against clause -x | Q: NOT 1 derives the negated helper,
-            # then OR 3 exposes Q's root
-            apply("NOT 1", head_not)
-            apply("OR 3", head_or)
-        if step.remainder.is_unit:
-            (q_con,) = remainder
-            apply("EQU 2" if q_con.kind == ConstraintKind.EQ else "NOT 3", q_con)
-    else:  # SUBSUME
-        if u.positive:
-            apply("OR 1", head_or)
-        else:
-            apply("NOT 2", head_not)
-            apply("OR 1", head_or)
 
     if len(derivation) > 3:
         raise SimulationError(f"replay took {len(derivation)} rule steps (bound is 3)")
     redundant = current.difference(s2)
     if s2.union(redundant) != current:
         raise SimulationError("derivation result does not cover the translation")
-    certificates = [parts[q] for q in sorted(phi2 & phi1, key=clause_sort_key)]
-    if not _redundant_follows(redundant, s2, certificates):
-        raise SimulationError("redundant remainder does not follow from the result")
+    _check_redundant(redundant, s2, kept)
     return s1, s2, derivation, redundant
 
 
@@ -702,12 +639,9 @@ def verify_reduction_to_unit() -> SweepReport:
             continue
         checked += 1
         try:
-            unit_steps = simulate_bool_by_unit(s1, steps[0])
+            simulate_bool_by_unit(s1, steps[0])
         except SimulationError as exc:
             failures.append(f"{r.name}: {exc}")
-            continue
-        if len(unit_steps) > 4:
-            failures.append(f"{r.name}: {len(unit_steps)} unit steps")
     return SweepReport("reduction-to-unit", checked, tuple(failures))
 
 
@@ -736,12 +670,9 @@ def verify_reduction_to_rules(budget: int = 500, seed: int = 0) -> SweepReport:
         for step in unit_step(cs):
             checked += 1
             try:
-                _, s2, derivation, c = simulate_unit_by_bool(cs, step)
+                simulate_unit_by_bool(cs, step)
             except SimulationError as exc:
                 failures.append(f"{format_unit_step(step)} on {len(cs)} clauses: {exc}")
-                continue
-            if len(derivation) > 3:
-                failures.append(f"{format_unit_step(step)}: {len(derivation)} steps")
     return SweepReport("reduction-to-rules", checked, tuple(failures))
 
 

@@ -71,7 +71,8 @@ def _looks_like_dimacs(text: str) -> bool:
         except ValueError:
             return False
         return True
-    return False
+    # only comment lines, a valid empty CNF: no .bcn line starts with "c"
+    return bool(text.strip())
 
 
 def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:

@@ -38,6 +38,11 @@ class ConstraintKind(Enum):
     AND = "and"
     OR = "or"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own __hash__ is a Python-level call on
+    # every dict or set lookup keyed by a kind.
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return 2 if self in (ConstraintKind.EQ, ConstraintKind.NOT) else 3

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -10,6 +11,8 @@ from boolprop.clauses import (
     SUBSUME,
     Clause,
     FreshVarSource,
+    SimulationError,
+    _check_redundant,
     apply_unit_step,
     clause,
     clause_set_satisfied,
@@ -219,6 +222,27 @@ def test_trans_rejects_empty_clause():
         trans_clause(EMPTY_CLAUSE, fresh)
     with pytest.raises(ValueError):
         trans_clause_eq(EMPTY_CLAUSE, X, fresh)
+    assert fresh.counter == 0  # rejected before any fresh variable is drawn
+
+
+def test_trans_clause_chain_order_is_pinned():
+    """Fresh variables are drawn root first, then per literal a NOT helper
+    (negative literals only) before the OR's second input, so names and
+    ``translate --to-bcn`` output stay fixed."""
+    a, b, c, d = variables("a b c d")
+    fresh = FreshVarSource.avoiding([a, b, c, d])
+    t = variables([f"_t{i}" for i in range(6)], start=4)
+    result = trans_clause(clause(neg(a), pos(b), neg(c), pos(d)), fresh)
+    assert result == store(
+        notc(a, t[1]),
+        orc(t[1], t[2], t[0]),
+        orc(b, t[3], t[2]),
+        notc(c, t[4]),
+        orc(t[4], t[5], t[3]),
+        eqc(d, t[5]),
+        pos(t[0]),
+    )
+    assert fresh.counter == 6
 
 
 def test_fresh_variables_avoid_collisions():
@@ -485,6 +509,69 @@ def test_simulate_complementary_units():
 def test_reduction_to_rules_sweep():
     report = verify_reduction_to_rules(budget=120, seed=7)
     assert report.ok, report.summary()
+
+
+def test_replay_rejects_a_result_the_script_cannot_reach():
+    s1 = store(eqc(X, Y), pos(X))
+    (step,) = apply_rule_store(BOOL.by_name("EQU 1"), s1)
+    padded = dataclasses.replace(step, after=step.after.union(store(pos(Z))))
+    with pytest.raises(SimulationError, match="did not reach the translated result"):
+        simulate_bool_by_unit(s1, padded)
+
+
+def test_replay_rejects_a_missing_premise_unit():
+    (step,) = apply_rule_store(BOOL.by_name("EQU 1"), store(eqc(X, Y), pos(X)))
+    with pytest.raises(SimulationError, match="not available"):
+        simulate_bool_by_unit(store(eqc(X, Y)), step)
+
+
+def test_replay_rejects_a_rule_outside_bool():
+    (step,) = apply_rule_store(BOOL.by_name("EQU 1"), store(eqc(X, Y), pos(X)))
+    with pytest.raises(ValueError, match="BOOL rules"):
+        simulate_bool_by_unit(store(), dataclasses.replace(step, rule="AND 3'"))
+
+
+# a result with more variables than the brute-force check enumerates
+_WIDE = variables([f"w{i}" for i in range(26)], start=3)
+_WIDE_STORE = store(*(eqc(a, b) for a, b in zip(_WIDE, _WIDE[1:])))
+
+
+def test_consequence_check_rejects_an_unsatisfiable_remainder():
+    (h,) = variables("h", start=40)
+    with pytest.raises(SimulationError):
+        _check_redundant(store(pos(h), neg(h)), store(pos(X)), [])
+    # sharing a variable with a result too wide to enumerate: still a
+    # SimulationError, never the enumeration cap's ValueError
+    with pytest.raises(SimulationError):
+        _check_redundant(
+            store(eqc(X, h), pos(h), neg(h)), _WIDE_STORE.union(store(eqc(X, Y))), []
+        )
+
+
+def test_consequence_check_rejects_a_remainder_that_does_not_follow():
+    with pytest.raises(SimulationError):
+        _check_redundant(store(pos(X)), store(eqc(X, Y)), [store(eqc(X, Y))])
+
+
+def test_consequence_check_accepts_a_definitional_chain():
+    (h, r) = variables("h r", start=40)
+    fresh = FreshVarSource.avoiding([X, Y, h, r])
+    chain = trans_clause_eq(clause(pos(X), neg(Y)), h, fresh)
+    _check_redundant(chain, store(eqc(X, Y)), [])
+    # x | y follows from a certificate clause; the wide result behind it
+    # is never enumerated
+    s2 = _WIDE_STORE.union(store(orc(X, Y, r), pos(r)))
+    _check_redundant(store(orc(X, Y, h), pos(h)), s2, [store(orc(X, Y, r), pos(r))])
+
+
+def test_reduction_to_rules_reports_a_failed_replay(monkeypatch):
+    def broken(phi1, step):
+        raise SimulationError("replay broke")
+
+    monkeypatch.setattr("boolprop.clauses.simulate_unit_by_bool", broken)
+    report = verify_reduction_to_rules(budget=1)
+    assert report.checked == 2 and len(report.failures) == 2
+    assert not report.ok and "replay broke" in report.failures[0]
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,18 @@ def test_dimacs_variable_indices_are_distinct_declaration_positions(text):
     assert min(helpers) == len(clause_vars)
 
 
+def test_comment_only_dimacs_is_an_empty_cnf(tmp_path, capsys):
+    f = tmp_path / "empty.cnf"
+    f.write_text("c no clauses\nc at all\n")
+    assert run_command(["solve", str(f)]) == 0
+    assert "status: SAT" in capsys.readouterr().out
+    assert run_command(["translate", "--to-bcn", str(f)]) == 0
+    translated = capsys.readouterr().out
+    assert run_command(["propagate", str(f)]) == 0
+    assert capsys.readouterr().out == translated + "# steps: 0\n"
+    assert run_command(["check", str(f)]) == 0
+
+
 def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "w.cnf"
     f.write_text("p cnf 2 1\n1 3 0\n")
@@ -275,6 +287,18 @@ def test_verify_commands(capsys):
     assert (
         run_command(["verify", "--theorem", "bool-prime", "--budget", "50"]) == 0
     )
+
+
+def test_verify_reports_a_failed_replay_as_a_failed_check(monkeypatch, capsys):
+    from boolprop.clauses import SimulationError
+
+    def broken(phi1, step):
+        raise SimulationError("replay broke")
+
+    monkeypatch.setattr("boolprop.clauses.simulate_unit_by_bool", broken)
+    assert run_command(["verify", "--theorem", "reduction2", "--budget", "1"]) == 3
+    out = capsys.readouterr().out
+    assert "2 instances checked, 2 counterexamples" in out and "replay broke" in out
 
 
 def test_verify_budget_zero_checks_no_random_instances(capsys):

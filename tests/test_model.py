@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,19 @@ def test_solutions_monotone_under_domain_shrink(csp, data):
     )
     shrunk = csp.with_domains({var: csp.domains[var] & smaller})
     assert solutions(shrunk) <= solutions(csp)
+
+
+def test_hashing_a_kind_makes_no_python_level_call():
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(event == "call"))
+    try:
+        hash(ConstraintKind.AND)
+    finally:
+        sys.setprofile(None)
+    assert not any(calls)
+
+
+@pytest.mark.parametrize("kind", list(ConstraintKind))
+def test_a_pickled_kind_is_the_same_member(kind):
+    loaded = pickle.loads(pickle.dumps(kind))
+    assert loaded is kind and hash(loaded) == hash(kind)

@@ -26,3 +26,9 @@ def test_digest_repeats_and_covers_the_requests_hashed():
     assert len(first) == 64 and int(first, 16) >= 0
     assert script.digest("propagate", 3, limit=3) != first
 
+
+def test_reductions_digest_repeats_and_covers_the_sets_hashed():
+    script = _script()
+    first = script.reductions_digest(2, sets=6)  # the 6th set has a unit step
+    assert first == script.reductions_digest(2, sets=6)
+    assert script.reductions_digest(2, sets=5) != first
