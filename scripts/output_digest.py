@@ -14,7 +14,10 @@ A last line, ``reductions``, hashes what the two simulation harnesses
 build, which ``verify`` reduces to counts: the unit-step script of
 ``simulate_bool_by_unit`` on each BOOL rule's minimal store, and
 ``simulate_unit_by_bool``'s ``(S1, S2, derivation, C)`` for every unit
-step of 300 seeded ``random_clause_set`` sets.
+step of 300 seeded ``random_clause_set`` sets and of the sets
+``{x0, -x0 | -x1 ... -xk, -x1 ... -xk}`` for k = 2 to 6, whose
+resolvent is already present, so C holds the resolvent's whole chain
+(the random sets, capped at 4 literals a clause, rarely reach this).
 
 Two source trees behave the same on a seed when this script, run with
 ``PYTHONPATH`` set to each tree's ``src`` in turn, prints the same
@@ -86,12 +89,14 @@ def reductions_digest(seed: int, sets: int = 300) -> str:
     """The sha256 of both harnesses' outputs, with stores and clauses
     rendered by ``str``, which is canonical."""
     from boolprop.clauses import (
+        clause,
         minimal_matching_store,
         random_clause_set,
         simulate_bool_by_unit,
         simulate_unit_by_bool,
         unit_step,
     )
+    from boolprop.model import neg, pos, variables
     from boolprop.rules import BOOL, apply_rule_store
 
     sha = hashlib.sha256()
@@ -102,8 +107,12 @@ def reductions_digest(seed: int, sets: int = 300) -> str:
         sha.update(repr([(u.op, str(u.unit), str(u.target), str(u.remainder))
                          for u in script]).encode())
     rng = random.Random(seed)
-    for _ in range(sets):
-        cs = random_clause_set(rng)
+    clause_sets = [random_clause_set(rng) for _ in range(sets)]
+    for k in range(2, 7):  # the resolvent is in the set, so C keeps its chain
+        xs = variables([f"x{i}" for i in range(k + 1)])
+        long, rest = clause(*map(neg, xs)), clause(*map(neg, xs[1:]))
+        clause_sets.append(frozenset({clause(pos(xs[0])), long, rest}))
+    for cs in clause_sets:
         for step in unit_step(cs):
             s1, s2, derivation, c = simulate_unit_by_bool(cs, step)
             rules = [(d.rule, str(d.matched_constraint)) for d in derivation]

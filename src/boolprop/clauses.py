@@ -29,6 +29,7 @@ from boolprop.model import (
     Literal,
     Variable,
     eqc,
+    is_failed,
     iter_solutions,
     literal_sort_key,
     neg,
@@ -46,6 +47,7 @@ from boolprop.rules import (
     PropagationRule,
     StoreStep,
     apply_rule_store,
+    close,
 )
 
 
@@ -394,49 +396,32 @@ def translate_clause_set(
 _MAX_ENUM_VARS = 24
 
 
-def _extendable(
-    c: ConstraintStore, s: ConstraintStore
-) -> tuple[list[Variable], set[tuple[int, ...]]]:
-    """The variables ``c`` shares with ``s``, and the valuations of them
-    that extend to a solution of ``c``."""
-    c_csp = store_to_csp(c)
-    s_vars = set(store_variables(s))
-    at = [i for i, v in enumerate(c_csp.vars) if v in s_vars]
-    extendable = {tuple(a.values[i] for i in at) for a in iter_solutions(c_csp)}
-    return [c_csp.vars[i] for i in at], extendable
+def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
+    """Every valuation satisfying ``s`` extends (over ``c``'s extra
+    variables) to one satisfying ``c``.
 
-
-def _projects_into(
-    s: ConstraintStore, shared: Sequence[Variable], extendable: set[tuple[int, ...]]
-) -> bool:
-    """Every solution of ``s``, restricted to ``shared``, is extendable."""
+    The test oracle for the consequence check of ``simulate_unit_by_bool``,
+    by brute force over the solutions of ``store_to_csp``.  The solutions
+    of ``c`` first give the valuations of the shared variables that admit
+    a satisfying extension; if all of them do, the answer is yes without
+    touching ``s``.  Otherwise the solutions of ``s`` are enumerated,
+    which requires its variable count to stay within ``_MAX_ENUM_VARS``.
+    """
+    c_csp, s_csp = store_to_csp(c), store_to_csp(s)
+    at = {v: j for j, v in enumerate(s_csp.vars)}
+    shared = [(i, at[v]) for i, v in enumerate(c_csp.vars) if v in at]
+    extendable = {tuple(a.values[i] for i, _ in shared) for a in iter_solutions(c_csp)}
     if len(extendable) == 2 ** len(shared):
         return True
-    s_csp = store_to_csp(s)
     if len(s_csp.vars) > _MAX_ENUM_VARS:
         raise ValueError(
             f"store has {len(s_csp.vars)} variables; brute-force check capped at "
             f"{_MAX_ENUM_VARS}"
         )
-    position = {v: i for i, v in enumerate(s_csp.vars)}
-    at = [position[v] for v in shared]
     return all(
-        tuple(a.values[j] for j in at) in extendable for a in iter_solutions(s_csp)
+        tuple(a.values[j] for _, j in shared) in extendable
+        for a in iter_solutions(s_csp)
     )
-
-
-def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
-    """Every valuation satisfying ``s`` extends (over ``c``'s extra
-    variables) to one satisfying ``c``.
-
-    Checked by brute force over the solutions of ``store_to_csp``.  The
-    solutions of ``c`` first give the valuations of the shared variables
-    that admit a satisfying extension; if all of them do, the answer is
-    yes without touching ``s``.  Otherwise the solutions of ``s`` are
-    enumerated, which requires its variable count to stay within
-    ``_MAX_ENUM_VARS``.
-    """
-    return _projects_into(s, *_extendable(c, s))
 
 
 # ---------------------------------------------------------------------------
@@ -504,28 +489,35 @@ def simulate_bool_by_unit(s1: ConstraintStore, step: StoreStep) -> list[UnitStep
 # ---------------------------------------------------------------------------
 
 
-def _check_redundant(
-    redundant: ConstraintStore,
-    s2: ConstraintStore,
-    certificates: Sequence[ConstraintStore],
-) -> None:
-    """Raise SimulationError unless the redundant set is satisfiable and
-    follows from the result.
+def _check_redundant(redundant: ConstraintStore, s2: ConstraintStore) -> None:
+    """Raise SimulationError unless the redundant set follows from the result.
 
-    The set is enumerated once, over the variables it shares with the
-    result, whose solutions must restrict to extendable valuations of
-    them.  Each certificate (a per-clause translation in the result) that
-    covers them is a sound, small stand-in, since the result's solutions
-    project into its solutions; the result itself is tried last.
+    Each constraint must define its last variable, one the result does not
+    use and no other constraint defines, from inputs defined, if at all,
+    with a higher index (fresh variables are numbered as drawn, and a chain
+    draws an OR's output before its inputs); so every solution of the
+    result extends through the definitions.  A literal on a variable that
+    is neither used nor defined is free and holds by choice, unless its
+    complement is free too.  Every other literal must be entailed, without
+    assuming the others: BOOL closure of the result, the constraints, the
+    free literals and the literal's complement must fail.
     """
-    shared, extendable = _extendable(redundant, s2)
-    stand_ins = (
-        t for t in [*certificates, s2] if set(shared).issubset(store_variables(t))
-    )
-    if not extendable or not any(
-        _projects_into(t, shared, extendable) for t in stand_ins
-    ):
-        raise SimulationError("redundant remainder does not follow from the result")
+    s2_vars = set(store_variables(s2))
+    defined = {c.vars[-1]: c for c in redundant.constraints}
+    if len(defined) < len(redundant.constraints) or not s2_vars.isdisjoint(defined):
+        raise SimulationError("redundant constraints share or reuse defined variables")
+    for out, c in defined.items():
+        if any(v in defined and v.index <= out.index for v in c.vars[:-1]):
+            raise SimulationError(f"{c} is not a definition of {out}")
+    bound = s2_vars.union(defined)
+    free = {l for l in redundant.literals if l.var not in bound}
+    if any(l.negated() in free for l in free):
+        raise SimulationError("redundant remainder sets a free variable both ways")
+    assumed = s2.union(ConstraintStore(redundant.constraints, frozenset(free)))
+    for lit in sorted(redundant.literals - free, key=literal_sort_key):
+        refuted, _ = close(store_to_csp(assumed.union(store(lit.negated()))), BOOL)
+        if not is_failed(refuted):
+            raise SimulationError(f"redundant literal {lit} does not follow from S2")
 
 
 def simulate_unit_by_bool(
@@ -536,7 +528,10 @@ def simulate_unit_by_bool(
     Returns ``(S1, S2, derivation, C)`` where S1 and S2 translate the
     clause sets before and after the step (untouched clauses share their
     fresh variables), the derivation carries S1 to the union of S2 and C,
-    and C semantically follows from S2.
+    and C semantically follows from S2.  That is checked without
+    enumeration: C's constraints are definitions of variables S2 does
+    not use, and each literal C asserts is free or entailed by BOOL
+    closure (``_check_redundant``).
     """
     if step.target not in phi1:
         raise ValueError("step target is not a clause of the input set")
@@ -572,7 +567,7 @@ def simulate_unit_by_bool(
 
     # translation of the clause set after the step: the kept clauses'
     # parts and, for a new remainder, its literal or the rest of the chain
-    kept = [parts[q] for q in sorted(phi2 & phi1, key=clause_sort_key)]
+    kept = (parts[q] for q in phi2 & phi1)
     s2 = functools.reduce(ConstraintStore.union, kept, ConstraintStore())
     if step.op == RESOLVE and step.remainder not in phi1:
         s2 = s2.union(
@@ -609,7 +604,7 @@ def simulate_unit_by_bool(
     redundant = current.difference(s2)
     if s2.union(redundant) != current:
         raise SimulationError("derivation result does not cover the translation")
-    _check_redundant(redundant, s2, kept)
+    _check_redundant(redundant, s2)
     return s1, s2, derivation, redundant
 
 
@@ -687,9 +682,9 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     Variables are named x1..xn.  Comment lines start with ``c``.  The
     ``p cnf`` header fixes the variable count, and a literal above it or
     a second header is an error; without a header the count is the
-    highest literal.  Clause counts are not enforced.  A line starting
-    with ``%`` ends the input, as in the SATLIB files that close with
-    ``%`` and a lone ``0``.
+    highest literal.  The clause count must be a number but is not
+    enforced.  A line starting with ``%`` ends the input, as in the
+    SATLIB files that close with ``%`` and a lone ``0``.
     """
     declared: int | None = None
     tokens: list[tuple[int, int]] = []  # (line number, literal)
@@ -707,6 +702,8 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
                 raise ValueError(f"line {lineno}: second p cnf line")
             if not fields[2].isdecimal():
                 raise ValueError(f"line {lineno}: bad variable count")
+            if not fields[3].isdecimal():
+                raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
             continue
         for tok in stripped.split():

@@ -117,7 +117,7 @@ def _cmd_solve(args) -> int:
     if result.model is not None:
         shown = report_vars or result.model.vars
         values = {v: d for v, d in zip(result.model.vars, result.model.values)}
-        print("model: " + " ".join(f"{v.name}={values[v]}" for v in shown))
+        print(" ".join(["model:", *(f"{v.name}={values[v]}" for v in shown)]))
     print(f"propagations: {result.propagation_steps}")
     print(f"splits: {result.split_count}")
     return EXIT_OK if result.status == SAT else EXIT_FAILED

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from boolprop.clauses import (
     clause_set_variables,
     constraints_to_clauses,
     format_dimacs,
+    format_unit_step,
     minimal_matching_store,
     parse_dimacs,
+    random_clause_set,
     semantically_follows,
     simulate_bool_by_unit,
     simulate_unit_by_bool,
@@ -539,29 +543,110 @@ _WIDE_STORE = store(*(eqc(a, b) for a, b in zip(_WIDE, _WIDE[1:])))
 def test_consequence_check_rejects_an_unsatisfiable_remainder():
     (h,) = variables("h", start=40)
     with pytest.raises(SimulationError):
-        _check_redundant(store(pos(h), neg(h)), store(pos(X)), [])
+        _check_redundant(store(pos(h), neg(h)), store(pos(X)))
     # sharing a variable with a result too wide to enumerate: still a
     # SimulationError, never the enumeration cap's ValueError
     with pytest.raises(SimulationError):
         _check_redundant(
-            store(eqc(X, h), pos(h), neg(h)), _WIDE_STORE.union(store(eqc(X, Y))), []
+            store(eqc(X, h), pos(h), neg(h)), _WIDE_STORE.union(store(eqc(X, Y)))
         )
 
 
 def test_consequence_check_rejects_a_remainder_that_does_not_follow():
     with pytest.raises(SimulationError):
-        _check_redundant(store(pos(X)), store(eqc(X, Y)), [store(eqc(X, Y))])
+        _check_redundant(store(pos(X)), store(eqc(X, Y)))
+
+
+_A, _B = variables("a b", start=40)
+
+
+@pytest.mark.parametrize(
+    "redundant, s2, reason",
+    [
+        (store(notc(_A, _B), eqc(_B, _A)), store(pos(X)), "not a definition"),
+        (store(eqc(_A, X)), store(eqc(X, Y)), "share or reuse"),
+        (store(eqc(X, _A), notc(Y, _A)), store(eqc(X, Y)), "share or reuse"),
+        (store(orc(X, Y, _A), pos(_A)), store(eqc(X, Y)), "does not follow"),
+        (store(pos(_A), neg(_A), pos(X)), store(pos(X)), "both ways"),
+    ],
+    ids=["cyclic", "defines-a-result-variable", "defined-twice",
+         "defined-literal-not-entailed", "clashing-free-literals"],
+)
+def test_consequence_check_rejects_what_it_cannot_prove(redundant, s2, reason):
+    with pytest.raises(SimulationError, match=reason):
+        _check_redundant(redundant, s2)
 
 
 def test_consequence_check_accepts_a_definitional_chain():
     (h, r) = variables("h r", start=40)
     fresh = FreshVarSource.avoiding([X, Y, h, r])
     chain = trans_clause_eq(clause(pos(X), neg(Y)), h, fresh)
-    _check_redundant(chain, store(eqc(X, Y)), [])
-    # x | y follows from a certificate clause; the wide result behind it
-    # is never enumerated
+    _check_redundant(chain, store(eqc(X, Y)))
+    # h is entailed through the result's own x | y, which BOOL closure
+    # reaches; the wide result is never enumerated
     s2 = _WIDE_STORE.union(store(orc(X, Y, r), pos(r)))
-    _check_redundant(store(orc(X, Y, h), pos(h)), s2, [store(orc(X, Y, r), pos(r))])
+    _check_redundant(store(orc(X, Y, h), pos(h)), s2)
+
+
+def _dangling_chain(k):
+    """``{x0, -x0 | -x1 ... -xk, -x1 ... -xk}`` and the resolution of
+    the long clause by x0, whose remainder is already in the set, so the
+    redundant set holds the whole dangling chain of its translation."""
+    xs = variables([f"x{i}" for i in range(k + 1)])
+    target = clause(*map(neg, xs))
+    phi1 = frozenset({clause(pos(xs[0])), target, clause(*map(neg, xs[1:]))})
+    return phi1, *_steps_of(phi1, RESOLVE, pos(xs[0]), target)
+
+
+def test_long_dangling_chain_replays_in_linear_time():
+    phi1, step = _dangling_chain(12)
+    start = time.perf_counter()
+    _, s2, derivation, redundant = simulate_unit_by_bool(phi1, step)
+    assert time.perf_counter() - start < 1.0
+    assert derivation[-1].after == s2.union(redundant)
+    assert len(redundant.constraints) == 23  # 11 ORs, 11 NOTs and the last link
+
+
+def test_replay_enumerates_no_solutions(monkeypatch):
+    def enumerate_nothing(csp):
+        raise AssertionError("the replay enumerated solutions")
+
+    monkeypatch.setattr("boolprop.clauses.iter_solutions", enumerate_nothing)
+    monkeypatch.setattr("boolprop.model.iter_solutions", enumerate_nothing)
+    simulate_unit_by_bool(*_dangling_chain(12))
+    assert verify_reduction_to_rules(budget=100).ok
+
+
+def test_consequence_check_never_accepts_what_the_oracle_rejects():
+    """Over every unit step of 600 seeded sets, the check accepts the
+    real remainder C, and each variant it accepts (a literal of C
+    flipped, a literal on a variable C shares with S2 added, one
+    constraint dropped) follows by ``semantically_follows``."""
+    rng = random.Random(0)
+    steps = rejected = 0
+    for _ in range(600):
+        cs = random_clause_set(rng)
+        for step in unit_step(cs):
+            steps += 1
+            _, s2, _, c = simulate_unit_by_bool(cs, step)
+            _check_redundant(c, s2)
+            s2_vars = set(store_variables(s2))
+            variants = [
+                *(dataclasses.replace(c, literals=c.literals ^ {l, l.negated()})
+                  for l in c.literals),
+                *(c.union(store(lit(v))) for v in store_variables(c) if v in s2_vars
+                  for lit in (pos, neg)),
+                *(dataclasses.replace(c, constraints=c.constraints - {k})
+                  for k in c.constraints),
+            ]
+            for variant in variants:
+                try:
+                    _check_redundant(variant, s2)
+                except SimulationError:
+                    rejected += 1
+                    continue
+                assert semantically_follows(variant, s2), (format_unit_step(step), variant)
+    assert steps == 1111 and rejected > 0
 
 
 def test_reduction_to_rules_reports_a_failed_replay(monkeypatch):
@@ -613,6 +698,8 @@ def test_dimacs_header_bounds_the_literals():
         parse_dimacs("1 -4 0\np cnf 3 1\n")
     with pytest.raises(ValueError, match="line 1: bad variable count"):
         parse_dimacs("p cnf -1 1\n0\n")
+    with pytest.raises(ValueError, match="line 1: bad clause count"):
+        parse_dimacs("p cnf 3 x\n1 0\n")
     # without a header the highest literal sets the count
     _, vars = parse_dimacs("1 3 0\n")
     assert [v.name for v in vars] == ["x1", "x2", "x3"]

@@ -245,6 +245,14 @@ def test_comment_only_dimacs_is_an_empty_cnf(tmp_path, capsys):
     assert run_command(["check", str(f)]) == 0
 
 
+@pytest.mark.parametrize("name, text", [("empty.cnf", "c no clauses\n"), ("empty.bcn", "")])
+def test_solve_without_variables_prints_a_bare_model_line(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert run_command(["solve", str(f)]) == 0
+    assert "\nmodel:\n" in capsys.readouterr().out
+
+
 def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "w.cnf"
     f.write_text("p cnf 2 1\n1 3 0\n")
