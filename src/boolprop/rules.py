@@ -14,6 +14,7 @@ of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -368,6 +369,27 @@ def _code(masks: list[int], scope: tuple[int, ...]) -> int:
     return code | masks[scope[2]] << 4 if len(scope) == 3 else code
 
 
+def _solved_codes(kind: ConstraintKind) -> tuple[bool, ...]:
+    """Whether a constraint of the kind is solved, by domain code.
+
+    It is solved when every tuple of its domains' product lies in its
+    relation (``model.is_solved``).  A tuple, as a code with one bit per
+    role, lies in that product when the domain code has all its bits.
+    """
+    table = truth_table(kind)
+    tuples = [
+        (sum(1 << v + 2 * p for p, v in enumerate(t)), t in table)
+        for t in itertools.product((0, 1), repeat=kind.arity)
+    ]
+    return tuple(
+        all(ok for fit, ok in tuples if code & fit == fit) for code in range(4**kind.arity)
+    )
+
+
+# Built once, at import: 16 codes for each binary kind, 64 for each ternary one.
+_SOLVED = {kind: _solved_codes(kind) for kind in ConstraintKind}
+
+
 def _holds(cr: _CompiledRule, code: int) -> bool:
     """The mask test: the rule applies and would change the CSP."""
     return code & cr.premise_mask == cr.premise_code and code & cr.change_mask != 0
@@ -472,8 +494,10 @@ def _relevant_change(
     (key, constraint, positions) of each replacement that ``has`` does
     not find.  Only the domains of ``c``'s variables, ``c`` itself and
     the added constraints, which lie on ``c``'s variables, differ
-    between the CSP and its successor, so ``is_reformulation`` is asked
-    about both cut down to those.
+    between the CSP and its successor.  So the step is relevant exactly
+    when it moves a mask, or, with the domains unchanged, when ``c`` is
+    dropped unsolved or a replacement is added unsolved; ``_SOLVED``
+    reads each off the constraint's own domain code.
     """
     r = cr.rule
     moved = [(scope[p], masks[scope[p]] & m) for p, m in cr.conclusion if masks[scope[p]] & ~m]
@@ -483,15 +507,13 @@ def _relevant_change(
         a = BoolConstraint(kind, tuple([vars[p] for p in s]))
         if not has(a, s):
             added.append((constraint_sort_key(a), a, s))
-    before = {v: _DOMAIN[masks[p]] for v, p in zip(c.vars, scope)}
-    after = before | {vars[p]: _DOMAIN[m] for p, m in moved}
-    kept = [a for _, a, _ in added] + ([] if r.drops else [c])
-    if is_reformulation(
-        BooleanCSP._of_valid_parts(c.vars, before, frozenset((c,))),
-        BooleanCSP._of_valid_parts(c.vars, after, frozenset(kept)),
+    if (
+        moved
+        or (r.drops and not _SOLVED[c.kind][_code(masks, scope)])
+        or not all(_SOLVED[a.kind][_code(masks, s)] for _, a, s in added)
     ):
-        return None
-    return moved, added
+        return moved, added
+    return None
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
@@ -499,7 +521,9 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
     Constraints are tried in canonical order, so the work done before
     the first relevant one is found does not depend on hash order.
-    Each is tested on its own masks, so its positions are its roles.
+    Each is tested on its own masks, so its positions are its roles,
+    and ``_relevant_change`` decides relevance from those masks alone,
+    as in ``close``.
     """
     by_kind, domains = rs._by_kind, csp.domains
     has = lambda a, _: a in csp.constraints
@@ -528,7 +552,10 @@ def close(
     (rule index, constraint key, id) for each rule of its kind whose
     mask test holds, that is, whose application would change the CSP.
     When popped, a candidate is tested again and fired if
-    ``_relevant_change`` finds it relevant, as ``closed_under`` does.
+    ``_relevant_change`` finds it relevant, as ``closed_under`` does:
+    it moves a mask, or drops or adds a constraint that ``_SOLVED``
+    marks unsolved at its domain code, so no CSP is built and
+    ``is_reformulation``, the specification, is not asked.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
     constraints all lie there, so only the constraints on those

@@ -2,9 +2,12 @@
 
 ``close`` must pick the same steps as the full rescan in
 ``reference.reference_close`` and reach the same CSP; ``closed_under``
-must agree with "no relevant ``apply_rule_csp`` step"; and the compiled
+must agree with "no relevant ``apply_rule_csp`` step"; the compiled
 match and relevance test must agree with ``apply_rule_csp`` on every
-single-constraint CSP, empty domains included.
+single-constraint CSP, empty domains included, and on every state of a
+replaced constraint whose replacement is already present; the solved
+table must agree with ``is_solved``; and the engine must never ask
+``is_reformulation``.
 """
 
 import gc
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolprop.cli import run_command
 from boolprop.consistency import random_csp
 from boolprop.model import (
     EMPTY,
@@ -26,6 +30,8 @@ from boolprop.model import (
     BooleanCSP,
     ConstraintKind,
     bcsp,
+    constraint_sort_key,
+    is_solved,
     variables,
 )
 from boolprop.rules import (
@@ -34,6 +40,7 @@ from boolprop.rules import (
     Closure,
     RuleSet,
     _DOMAIN,
+    _SOLVED,
     _holds,
     _relevant_change,
     apply_rule_csp,
@@ -106,25 +113,49 @@ def _single_constraint_csps_with_empty_domains():
             yield bcsp(vars, dict(zip(vars, doms)), [c])
 
 
-def _mask_test(cr, csp, c):
-    """The compiled premise and change test on ``c``'s domain code."""
-    code = sum(sum(1 << v for v in csp.domains[u]) << 2 * p for p, u in enumerate(c.vars))
-    return _holds(cr, code)
+def _csps_with_a_replacement_present(system):
+    """Every domain state of each constraint a rule of the system
+    replaces, with that replacement already present: firing the rule
+    then adds nothing, so it is relevant only when it shrinks a domain
+    or drops an unsolved constraint."""
+    replaced = {(r.kind, kind, ps) for r in system.rules for kind, ps in r.patterns}
+    vars = variables("x y z")
+    for kind, new_kind, ps in sorted(replaced, key=lambda t: (t[0].value, t[1].value, t[2])):
+        replacement = BoolConstraint(new_kind, tuple(vars[p] for p in ps))
+        constraints = [BoolConstraint(kind, vars), replacement]
+        for doms in itertools.product((EMPTY, ZERO, ONE, FULL), repeat=3):
+            yield bcsp(vars, dict(zip(vars, doms)), constraints)
+
+
+def _domain_code(csp, c):
+    """``c``'s domain code, sum(mask << 2 * role), from the CSP's domains."""
+    return sum(sum(1 << v for v in csp.domains[u]) << 2 * p for p, u in enumerate(c.vars))
+
+
+def test_solved_table_agrees_with_is_solved_on_every_domain_state():
+    instances = list(_single_constraint_csps_with_empty_domains())
+    assert sorted(len(solved) for solved in _SOLVED.values()) == [16, 16, 64, 64]
+    for csp in instances:
+        (c,) = csp.constraints
+        assert _SOLVED[c.kind][_domain_code(csp, c)] == is_solved(c, csp), csp
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
 def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     instances = list(_single_constraint_csps_with_empty_domains())
     assert len(instances) == 160
+    present = list(_csps_with_a_replacement_present(system))
+    assert len(present) == {"BOOL": 0, "BOOL_PRIME": 256, "ADDS_ONLY": 64}[system.name]
     compiled = {cr.index: cr for rules in system._by_kind.values() for cr in rules}
     assert sorted(compiled) == list(range(len(system.rules)))
-    for csp in instances:
-        (c,) = csp.constraints
+    indexed_rules = list(enumerate(system.rules))
+    for csp in instances + present:
         assert closed_under(csp, system) == (first_relevant(csp, system) is None), csp
-        for index, r in enumerate(system.rules):
+        state = Closure(csp)
+        for (i, c), (index, r) in itertools.product(enumerate(state.constraints), indexed_rules):
             cr = compiled[index]
             assert cr in system._by_kind[r.kind] and cr.rule is r
-            applications = apply_rule_csp(r, csp)
+            applications = [a for a in apply_rule_csp(r, csp) if a.matched_constraint == c]
             if c.kind != r.kind:
                 assert not applications
                 continue
@@ -133,17 +164,20 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
                 for a in applications
             )
             # the mask test holds exactly when an application changes the CSP
-            assert _mask_test(cr, csp, c) == (not unchanged), (r.name, csp)
+            assert _holds(cr, _domain_code(csp, c)) == (not unchanged), (r.name, csp)
             if unchanged:
                 continue
             (application,) = applications
-            state = Closure(csp)
-            change = _relevant_change(cr, c, state.scopes[0], state.masks, csp.vars, state.has)
+            change = _relevant_change(cr, c, state.scopes[i], state.masks, csp.vars, state.has)
             # None exactly for a reformulation, else that application's result
             assert (change is not None) == application.relevant, (r.name, csp)
             if change is None:
                 continue
             moved, added = change
+            # each replacement not yet present, once
+            assert sorted([a for _, a, _ in added], key=constraint_sort_key) == sorted(
+                application.after.constraints - csp.constraints, key=constraint_sort_key
+            ), (r.name, csp)
             after = csp.with_domains({csp.vars[p]: _DOMAIN[m] for p, m in moved})
             constraints = set(csp.constraints) | {a for _, a, _ in added}
             if r.drops:
@@ -152,6 +186,49 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
                 application.after.domains,
                 application.after.constraints,
             ), (r.name, csp)
+
+
+def _seeded_circuit(seed, inputs=6, gates=30):
+    """A .bcn gate circuit on recent signals, its last gate pinned to 1."""
+    rng = random.Random(seed)
+    names = [f"i{j}" for j in range(inputs)]
+    lines = []
+    for j in range(gates):
+        kind = rng.choice(("and", "or", "not", "eq"))
+        reads = rng.sample(names[-8:], 2 if kind in ("and", "or") else 1)
+        names.append(f"g{j}")
+        lines.append(" ".join([kind, *reads, names[-1]]) + "\n")
+    return f"var {' '.join(names)}\ndom {names[-1]} 1\n" + "".join(lines)
+
+
+def test_the_engine_never_asks_is_reformulation(tmp_path, monkeypatch, capsys):
+    circuit = tmp_path / "circuit.bcn"
+    circuit.write_text(_seeded_circuit(0))
+    closed = tmp_path / "closed.bcn"
+    assert run_command(["propagate", str(circuit), "--system", "bool-prime"]) == 0
+    closed.write_text(capsys.readouterr().out)
+    commands = [
+        [command, str(circuit), "--system", system, "--trace"]
+        for command in ("propagate", "solve")
+        for system in ("bool", "bool-prime")
+    ]
+    commands += [
+        ["check", str(closed), "--closed-under", "bool-prime"],
+        ["verify", "--theorem", "bool-prime", "--budget", "5"],
+    ]
+    outputs = []
+    for argv in commands:
+        outputs.append((run_command(argv), capsys.readouterr()))
+
+    def oracle(*args):
+        raise AssertionError("is_reformulation called")
+
+    monkeypatch.setattr("boolprop.rules.is_reformulation", oracle)
+    for argv, expected in zip(commands, outputs):
+        assert (run_command(argv), capsys.readouterr()) == expected, argv
+    # both searches split, BOOL' adds replacements, and the closure checks as closed
+    assert [code for code, _ in outputs] == [0] * 6
+    assert "splits: 0" not in outputs[2][1].out and "added eq" in outputs[3][1].out
 
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
