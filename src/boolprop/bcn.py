@@ -45,12 +45,8 @@ def domain_token(d: frozenset) -> str:
     return _TOKEN_OF_DOMAIN[d]
 
 
-_CONSTRAINT_DIRECTIVES = {
-    "eq": ConstraintKind.EQ,
-    "not": ConstraintKind.NOT,
-    "and": ConstraintKind.AND,
-    "or": ConstraintKind.OR,
-}
+# A constraint line starts with its kind's value, as ``BoolConstraint`` prints it.
+_CONSTRAINT_DIRECTIVES = {kind.value: kind for kind in ConstraintKind}
 
 
 def parse_bcn(text: str) -> BooleanCSP:

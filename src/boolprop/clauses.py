@@ -30,7 +30,6 @@ from boolprop.model import (
     Variable,
     eqc,
     is_failed,
-    iter_solutions,
     literal_sort_key,
     neg,
     notc,
@@ -63,10 +62,6 @@ class Clause:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "literals", frozenset(self.literals))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.literals
 
     @property
     def is_unit(self) -> bool:
@@ -386,42 +381,6 @@ def translate_clause_set(
         constraints |= part.constraints
         literals |= part.literals
     return ConstraintStore(frozenset(constraints), frozenset(literals))
-
-
-# ---------------------------------------------------------------------------
-# Semantic consequence
-# ---------------------------------------------------------------------------
-
-
-_MAX_ENUM_VARS = 24
-
-
-def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
-    """Every valuation satisfying ``s`` extends (over ``c``'s extra
-    variables) to one satisfying ``c``.
-
-    The test oracle for the consequence check of ``simulate_unit_by_bool``,
-    by brute force over the solutions of ``store_to_csp``.  The solutions
-    of ``c`` first give the valuations of the shared variables that admit
-    a satisfying extension; if all of them do, the answer is yes without
-    touching ``s``.  Otherwise the solutions of ``s`` are enumerated,
-    which requires its variable count to stay within ``_MAX_ENUM_VARS``.
-    """
-    c_csp, s_csp = store_to_csp(c), store_to_csp(s)
-    at = {v: j for j, v in enumerate(s_csp.vars)}
-    shared = [(i, at[v]) for i, v in enumerate(c_csp.vars) if v in at]
-    extendable = {tuple(a.values[i] for i, _ in shared) for a in iter_solutions(c_csp)}
-    if len(extendable) == 2 ** len(shared):
-        return True
-    if len(s_csp.vars) > _MAX_ENUM_VARS:
-        raise ValueError(
-            f"store has {len(s_csp.vars)} variables; brute-force check capped at "
-            f"{_MAX_ENUM_VARS}"
-        )
-    return all(
-        tuple(a.values[j] for _, j in shared) in extendable
-        for a in iter_solutions(s_csp)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-rules", help="derive the minimal rules from the tables")
     p.add_argument(
-        "--kind", choices=["eq", "not", "and", "or", "all"], default="all"
+        "--kind",
+        choices=[kind.value for kind in ConstraintKind] + ["all"],
+        default="all",
     )
     p.set_defaults(func=_cmd_gen_rules)
 

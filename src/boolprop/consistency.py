@@ -127,12 +127,10 @@ def random_csp(
     return bcsp(vars, domains, constraints)
 
 
-def _random_non_failed(
-    rng: random.Random, budget: int, **kwargs
-) -> Iterator[BooleanCSP]:
+def _random_non_failed(rng: random.Random, budget: int) -> Iterator[BooleanCSP]:
     produced = 0
     while produced < budget:
-        csp = random_csp(rng, **kwargs)
+        csp = random_csp(rng)
         if not is_failed(csp):
             produced += 1
             yield csp

@@ -19,11 +19,11 @@ gives it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
-BoolValue = int  # 0 (false) or 1 (true)
 Domain = frozenset  # subset of {0, 1}
 
 FULL: Domain = frozenset({0, 1})
@@ -322,13 +322,7 @@ def restricted_relation(c: BoolConstraint, csp: BooleanCSP) -> frozenset[tuple[i
 
 def is_solved(c: BoolConstraint, csp: BooleanCSP) -> bool:
     """True when the restricted relation equals the full domain product."""
-    doms = [csp.domains[v] for v in c.vars]
-    size = 1
-    for d in doms:
-        size *= len(d)
-    return size == sum(
-        all(x in d for x, d in zip(t, doms)) for t in truth_table(c.kind)
-    )
+    return len(restricted_relation(c, csp)) == math.prod(len(csp.domains[v]) for v in c.vars)
 
 
 def is_failed(csp: BooleanCSP) -> bool:

@@ -138,22 +138,13 @@ def table_rules(rs: RuleSet, kind: ConstraintKind) -> frozenset[CandidateRule]:
     return frozenset(out)
 
 
-def match_names(kind: ConstraintKind, generated: Iterable[CandidateRule]) -> dict[CandidateRule, str | None]:
-    """Map generated rules to the names used by the BOOL table."""
-    by_shape = {
-        as_candidate(r): r.name for r in BOOL.rules if r.kind == kind
-    }
-    return {g: by_shape.get(g) for g in generated}
-
-
 def named_minimal_rules(kind: ConstraintKind) -> list[tuple[str, CandidateRule]]:
-    """Generated minimal rules for a connective, with their table names,
-    ordered as in the rule table."""
-    generated = minimal_rules(connective_table(kind))
-    names = match_names(kind, generated)
+    """Generated minimal rules for a connective, with their names in the
+    BOOL table ("?" for one it lacks), ordered as in the rule table."""
+    names = {as_candidate(r): r.name for r in BOOL.rules if r.kind == kind}
     order = {r.name: i for i, r in enumerate(BOOL.rules)}
     return sorted(
-        ((names[g] or "?", g) for g in generated),
+        ((names.get(g, "?"), g) for g in minimal_rules(connective_table(kind))),
         key=lambda pair: order.get(pair[0], len(order)),
     )
 

@@ -9,6 +9,11 @@ singletons -> intersect conclusion domains).  Both interpretations drop
 the matched constraint exactly when the premise plus conclusion pin it
 down to a solved relation; every rule of BOOL does, the four split rules
 of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
+
+Whether a constraint is solved depends only on its kind and its own
+domains, so ``_SOLVED`` tabulates it once per kind and domain code.
+That one table decides both a rule's ``drops`` and, in ``close`` and
+``closed_under``, whether a step is relevant.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import (
     Iterator,
     Mapping,
     NamedTuple,
-    Sequence,
 )
 
 from boolprop.bcn import domain_token
@@ -92,8 +96,12 @@ class PropagationRule:
 
     @cached_property
     def drops(self) -> bool:
-        """Whether firing removes the matched constraint."""
-        return bool(self.patterns) or rule_discharges_constraint(self)
+        """Whether firing removes the matched constraint: it is replaced,
+        or ``_SOLVED`` marks it solved at the code the rule pins, its
+        premise and concluded singletons with {0,1} elsewhere."""
+        pinned = self.premise + self.conclusion_assignments
+        code = 4**self.kind.arity - 1 - sum(2 >> v << 2 * p for p, v in pinned)
+        return bool(self.patterns) or _SOLVED[self.kind][code]
 
 
 def rule(
@@ -110,25 +118,6 @@ def rule(
         tuple(sorted(conclusion.items())),
         frozenset(conclusion_constraints),
     )
-
-
-def rule_discharges_constraint(r: PropagationRule) -> bool:
-    """True when firing the rule leaves the matched constraint solved.
-
-    Holds iff every combination of values at the unpinned positions,
-    together with the premise and concluded values, lies in the relation.
-    Such a constraint carries no further information and is removed on
-    application; otherwise it is kept (or replaced, for rules with
-    constraint conclusions).
-    """
-    if r.conclusion_constraints:
-        return False
-    pinned = dict(r.premise) | dict(r.conclusion_assignments)
-    free = [p for p in range(r.kind.arity) if p not in pinned]
-    matching = [
-        t for t in truth_table(r.kind) if all(t[p] == v for p, v in pinned.items())
-    ]
-    return len(matching) == 2 ** len(free)
 
 
 class _CompiledRule(NamedTuple):
@@ -484,7 +473,6 @@ def _relevant_change(
     c: BoolConstraint,
     scope: tuple[int, ...],
     masks: list[int],
-    vars: Sequence[Variable],
     has: Callable[[BoolConstraint, tuple[int, ...]], bool],
 ) -> tuple[list, list] | None:
     """What firing the rule on ``c``, on the positions ``scope``, changes
@@ -504,7 +492,7 @@ def _relevant_change(
     added = []
     for kind, ps in r.patterns:
         s = tuple([scope[p] for p in ps])
-        a = BoolConstraint(kind, tuple([vars[p] for p in s]))
+        a = BoolConstraint(kind, tuple([c.vars[p] for p in ps]))
         if not has(a, s):
             added.append((constraint_sort_key(a), a, s))
     if (
@@ -532,7 +520,7 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
         roles = _ROLES[len(masks)]
         code = _code(masks, roles)
         for cr in by_kind[c.kind]:
-            if _holds(cr, code) and _relevant_change(cr, c, roles, masks, c.vars, has):
+            if _holds(cr, code) and _relevant_change(cr, c, roles, masks, has):
                 return False
     return True
 
@@ -594,7 +582,7 @@ def close(
         if not alive[i] or not _holds(cr, _code(masks, scopes[i])):
             continue
         c, scope, r = constraints[i], scopes[i], cr.rule
-        change = _relevant_change(cr, c, scope, masks, vars, state.has)
+        change = _relevant_change(cr, c, scope, masks, state.has)
         if change is None:
             continue
         moved, added = change

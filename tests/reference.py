@@ -18,10 +18,12 @@ available unit steps with ``unit_step``, takes the first and rebuilds
 the clause set.  The library keeps an occurrence index and a heap of
 pending resolutions and must take the same steps.
 
-``reference_semantically_follows`` is the definition of
-``boolprop.clauses.semantically_follows`` as a loop over every 0/1
-valuation of each store's variables.  The library enumerates the
-solutions of ``store_to_csp`` instead and must give the same answer.
+``semantically_follows`` is the tests' oracle for the consequence
+check of ``boolprop.clauses.simulate_unit_by_bool``, which reads the
+remainder as definitions instead and never enumerates.  It enumerates
+the solutions of ``store_to_csp``.  ``reference_semantically_follows``
+is its definition as a loop over every 0/1 valuation of each store's
+variables, and the two must give the same answer.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from boolprop.model import (
     BooleanCSP,
     ConstraintStore,
     is_failed,
+    iter_solutions,
     store_satisfied,
+    store_to_csp,
     store_variables,
 )
 from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
@@ -102,6 +106,36 @@ def reference_unit_propagate(
         rest = sets[-1] - {step.target}
         sets.append(rest | {step.remainder} if step.op == RESOLVE else rest)
     return sets, trace
+
+
+_MAX_ENUM_VARS = 24
+
+
+def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
+    """Every valuation satisfying ``s`` extends (over ``c``'s extra
+    variables) to one satisfying ``c``.
+
+    By brute force over the solutions of ``store_to_csp``.  The solutions
+    of ``c`` first give the valuations of the shared variables that admit
+    a satisfying extension; if all of them do, the answer is yes without
+    touching ``s``.  Otherwise the solutions of ``s`` are enumerated,
+    which requires its variable count to stay within ``_MAX_ENUM_VARS``.
+    """
+    c_csp, s_csp = store_to_csp(c), store_to_csp(s)
+    at = {v: j for j, v in enumerate(s_csp.vars)}
+    shared = [(i, at[v]) for i, v in enumerate(c_csp.vars) if v in at]
+    extendable = {tuple(a.values[i] for i, _ in shared) for a in iter_solutions(c_csp)}
+    if len(extendable) == 2 ** len(shared):
+        return True
+    if len(s_csp.vars) > _MAX_ENUM_VARS:
+        raise ValueError(
+            f"store has {len(s_csp.vars)} variables; brute-force check capped at "
+            f"{_MAX_ENUM_VARS}"
+        )
+    return all(
+        tuple(a.values[j] for _, j in shared) in extendable
+        for a in iter_solutions(s_csp)
+    )
 
 
 def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:

@@ -20,7 +20,6 @@ from boolprop.clauses import (
     constraints_to_clauses,
     minimal_matching_store,
     random_clause_set,
-    semantically_follows,
     simulate_bool_by_unit,
     simulate_unit_by_bool,
     trans_clause,
@@ -60,6 +59,7 @@ from boolprop.rulegen import (
 )
 from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close, closed_under
 from boolprop.solver import SAT, solve
+from reference import semantically_follows
 
 X, Y, Z = variables("x y z")
 

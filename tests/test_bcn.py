@@ -1,7 +1,7 @@
 import pytest
 
 from boolprop.bcn import BcnError, format_bcn, parse_bcn
-from boolprop.model import EMPTY, ZERO, andc, bcsp, notc, variables
+from boolprop.model import EMPTY, ZERO, ConstraintKind, andc, bcsp, notc, variables
 
 X, Y, Z = variables("x y z")
 
@@ -51,6 +51,18 @@ def test_declaration_order_is_the_variable_sequence():
     csp = parse_bcn("var b a\nvar c\n")
     assert [v.name for v in csp.vars] == ["b", "a", "c"]
     assert [v.index for v in csp.vars] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "directive, kind",
+    [("eq", ConstraintKind.EQ), ("not", ConstraintKind.NOT),
+     ("and", ConstraintKind.AND), ("or", ConstraintKind.OR)],
+)
+def test_each_constraint_directive_round_trips(directive, kind):
+    text = f"var x y z\n{directive} {' '.join('xyz'[: kind.arity])}\n"
+    csp = parse_bcn(text)
+    assert [c.kind for c in csp.constraints] == [kind]
+    assert format_bcn(csp) == text
 
 
 def test_roundtrip_on_canonical_files():

@@ -165,6 +165,12 @@ def test_gen_rules(capsys):
     assert out[5] == "AND 6   x /\\ y = z, z = 1 -> x = 1, y = 1"
 
 
+@pytest.mark.parametrize("kind, rules", [("eq", 4), ("not", 4), ("and", 6), ("or", 6)])
+def test_gen_rules_each_kind(kind, rules, capsys):
+    assert run_command(["gen-rules", "--kind", kind]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rules
+
+
 def test_gen_rules_all_kinds(capsys):
     assert run_command(["gen-rules"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 20

@@ -6,8 +6,8 @@ must agree with "no relevant ``apply_rule_csp`` step"; the compiled
 match and relevance test must agree with ``apply_rule_csp`` on every
 single-constraint CSP, empty domains included, and on every state of a
 replaced constraint whose replacement is already present; the solved
-table must agree with ``is_solved``; and the engine must never ask
-``is_reformulation``.
+table must agree with ``is_solved``, and so must each rule's ``drops``,
+read from it; and the engine must never ask ``is_reformulation``.
 """
 
 import gc
@@ -141,6 +141,15 @@ def test_solved_table_agrees_with_is_solved_on_every_domain_state():
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
+def test_a_rule_drops_its_constraint_when_replaced_or_pinned_solved(system):
+    for r in system.rules:
+        vs = variables("x y z")[: r.kind.arity]
+        c = BoolConstraint(r.kind, vs)
+        pinned = {vs[p]: frozenset({v}) for p, v in r.premise + r.conclusion_assignments}
+        assert r.drops == (bool(r.patterns) or is_solved(c, bcsp(vs, pinned, [c]))), r.name
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
 def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     instances = list(_single_constraint_csps_with_empty_domains())
     assert len(instances) == 160
@@ -168,7 +177,7 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
             if unchanged:
                 continue
             (application,) = applications
-            change = _relevant_change(cr, c, state.scopes[i], state.masks, csp.vars, state.has)
+            change = _relevant_change(cr, c, state.scopes[i], state.masks, state.has)
             # None exactly for a reformulation, else that application's result
             assert (change is not None) == application.relevant, (r.name, csp)
             if change is None:

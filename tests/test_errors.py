@@ -4,7 +4,6 @@ import pytest
 
 from boolprop.clauses import (
     clause,
-    semantically_follows,
     simulate_bool_by_unit,
     unit_propagate,
     unit_step,
@@ -24,6 +23,7 @@ from boolprop.model import (
     variables,
 )
 from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close
+from reference import semantically_follows
 
 X, Y, Z = variables("x y z")
 

@@ -1,11 +1,15 @@
-"""The package's public names resolve and its scripts run.
+"""The package's public names resolve, its scripts run, and every
+name it defines is used.
 
 No other test imports ``from boolprop import *`` or starts the scripts,
 so a stale name in ``__all__`` or a script importing a removed function
-would otherwise break them unnoticed.
+would otherwise break them unnoticed.  Likewise nothing else notices a
+module-level function, class or constant that nothing refers to.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +30,30 @@ def test_star_import_resolves_all_and_the_scripts_exit_0():
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, (script, done.stderr)
+
+
+def _top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_top_level_name_in_src_is_referenced():
+    """Each name a module of src/boolprop defines at top level occurs as a
+    word at least once more in src/, tests/, scripts/ or perfbench/."""
+    text = "\n".join(
+        path.read_text()
+        for folder in ("src", "tests", "scripts", "perfbench")
+        for path in (ROOT / folder).rglob("*.py")
+    )
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "boolprop").glob("*.py"))
+        for name in _top_level_names(ast.parse(path.read_text()))
+        if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
+    ]
+    assert unreferenced == []

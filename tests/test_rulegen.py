@@ -15,8 +15,8 @@ from boolprop.rulegen import (
     implies,
     is_feasible,
     is_valid,
-    match_names,
     minimal_rules,
+    named_minimal_rules,
     table_rules,
     verify_completeness,
 )
@@ -94,8 +94,9 @@ def test_check_complete():
 
 def test_match_names_covers_every_generated_rule():
     for kind in ConstraintKind:
-        names = match_names(kind, minimal_rules(connective_table(kind)))
-        assert all(name is not None for name in names.values())
+        named = named_minimal_rules(kind)
+        assert len(named) == len(minimal_rules(connective_table(kind)))
+        assert "?" not in [name for name, _ in named], kind
 
 
 def test_verify_completeness():
