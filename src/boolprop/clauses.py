@@ -374,12 +374,20 @@ def translate_clause_set(
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
     fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals}.union(declared))
-    constraints: set[BoolConstraint] = set()
-    literals: set[Literal] = set()
-    for c in sorted(cs, key=clause_sort_key):
-        part = trans_clause(c, fresh)
-        constraints |= part.constraints
-        literals |= part.literals
+    constraints: list[BoolConstraint] = []
+    literals: list[Literal] = []
+    # trans_clause on each clause in clause_sort_key order, with each
+    # clause's ordered literals and sort key computed once
+    for lits in sorted(
+        (sorted(c.literals, key=literal_sort_key) for c in cs),
+        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
+    ):
+        if len(lits) == 1:
+            literals.append(lits[0])
+        else:
+            chain, root = _chain(lits, fresh)
+            constraints += chain
+            literals.append(Literal(root, True))
     return ConstraintStore(frozenset(constraints), frozenset(literals))
 
 

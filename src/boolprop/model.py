@@ -6,6 +6,12 @@ connective relations EQ, NOT, AND, OR.  Constraint stores are the flat
 companion form: a finite set of constraints plus a set of literals, with
 a fixed interpretation of literal sets as domains.
 
+Variables, literals and constraints are ``NamedTuple`` values, so
+hashing and equality run in C; each hashes as the tuple of its fields,
+as the frozen dataclasses they replace did, so every set order is
+unchanged.  A ``Variable`` therefore also equals the plain tuple
+``(name, index)``.
+
 Everything here is immutable, and the solution-level operations
 (``solutions``, ``equivalent``, ...) work by exhaustive enumeration.
 This module is the oracle layer the propagation engines are tested
@@ -22,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Domain = frozenset  # subset of {0, 1}
 
@@ -43,9 +49,11 @@ class ConstraintKind(Enum):
     # every dict or set lookup keyed by a kind.
     __hash__ = object.__hash__
 
-    @property
-    def arity(self) -> int:
-        return 2 if self in (ConstraintKind.EQ, ConstraintKind.NOT) else 3
+    def __init__(self, spelling: str) -> None:
+        # Enum's ``value`` is a Python-level property, so the arity is a
+        # plain attribute, and the sort key and ``str`` of a constraint
+        # read the spelling from ``_value_``, where Enum keeps it.
+        self.arity = 2 if spelling in ("eq", "not") else 3
 
 
 _TABLES: dict[ConstraintKind, frozenset[tuple[int, ...]]] = {
@@ -61,8 +69,7 @@ def truth_table(kind: ConstraintKind) -> frozenset[tuple[int, ...]]:
     return _TABLES[kind]
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A named Boolean variable; ``index`` is its declaration position."""
 
     name: str
@@ -80,8 +87,7 @@ def variables(names: str | Sequence[str], start: int = 0) -> tuple[Variable, ...
     return tuple(Variable(n, start + i) for i, n in enumerate(parts))
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """A variable or its negation."""
 
     var: Variable
@@ -107,29 +113,35 @@ def literal_sort_key(lit: Literal) -> tuple[int, int, str]:
     return (lit.var.index, 0 if lit.positive else 1, lit.var.name)
 
 
-@dataclass(frozen=True)
-class BoolConstraint:
+class _ConstraintFields(NamedTuple):
+    kind: ConstraintKind
+    vars: tuple[Variable, ...]
+
+
+class BoolConstraint(_ConstraintFields):
     """One connective constraint on an ordered tuple of distinct variables.
 
     The tuple is in role order: for AND/OR the third variable is the
     output, for EQ/NOT the second is the right-hand side.
     """
 
-    kind: ConstraintKind
-    vars: tuple[Variable, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", tuple(self.vars))
-        if len(self.vars) != self.kind.arity:
+    def __new__(cls, kind: ConstraintKind, vars: Iterable[Variable]) -> BoolConstraint:
+        # a Variable is itself a tuple, and would pass as one of its fields
+        if isinstance(vars, Variable):
+            raise TypeError(f"constraint variables must be a sequence, not {vars!r}")
+        vars = tuple(vars)
+        if len(vars) != kind.arity:
             raise ValueError(
-                f"{self.kind.value} constraint needs {self.kind.arity} variables, "
-                f"got {len(self.vars)}"
+                f"{kind.value} constraint needs {kind.arity} variables, got {len(vars)}"
             )
-        if len(set(self.vars)) != len(self.vars):
-            raise ValueError(f"repeated variable in {self.kind.value} constraint")
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable in {kind.value} constraint")
+        return tuple.__new__(cls, (kind, vars))
 
     def __str__(self) -> str:
-        return self.kind.value + " " + " ".join(v.name for v in self.vars)
+        return self.kind._value_ + " " + " ".join([v.name for v in self.vars])
 
 
 def eqc(x: Variable, y: Variable) -> BoolConstraint:
@@ -149,13 +161,15 @@ def orc(x: Variable, y: Variable, z: Variable) -> BoolConstraint:
 
 
 def constraint_sort_key(c: BoolConstraint) -> tuple:
-    return (tuple([v.index for v in c.vars]), c.kind.value)
+    return (tuple([v.index for v in c.vars]), c.kind._value_)
 
 
 def as_domain(value) -> Domain:
     """Normalise 1 / (0,1) / iterables / None into a domain frozenset."""
     if value is None:
         return FULL
+    if isinstance(value, frozenset) and value <= FULL:
+        return value
     if isinstance(value, int):
         value = (value,)
     dom = frozenset(value)
@@ -381,21 +395,16 @@ def store_to_csp(
     variable sequence (it must cover every variable of the store).
     """
     seq = store_variables(s) if vars is None else tuple(vars)
-    domains = {}
-    for v in seq:
-        has_pos = Literal(v, True) in s.literals
-        has_neg = Literal(v, False) in s.literals
-        if has_pos and has_neg:
-            domains[v] = EMPTY
-        elif has_pos:
-            domains[v] = ONE
-        elif has_neg:
-            domains[v] = ZERO
+    domains = dict.fromkeys(seq, FULL)
+    missing = set()
+    for lit in s.literals:
+        d = domains.get(lit.var)
+        if d is None:
+            missing.add(lit.var)
         else:
-            domains[v] = FULL
+            domains[lit.var] = d & (ONE if lit.positive else ZERO)
     if vars is not None:  # checked against the domains: no second set of vars
-        missing = {v for c in s.constraints for v in c.vars if v not in domains}
-        missing.update(lit.var for lit in s.literals if lit.var not in domains)
+        missing.update(v for c in s.constraints for v in c.vars if v not in domains)
         if missing:
             raise ValueError(
                 f"variable sequence misses {sorted(v.name for v in missing)}"

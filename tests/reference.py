@@ -18,6 +18,15 @@ available unit steps with ``unit_step``, takes the first and rebuilds
 the clause set.  The library keeps an occurrence index and a heap of
 pending resolutions and must take the same steps.
 
+``reference_translate_clause_set`` is the specification of
+``boolprop.clauses.translate_clause_set``: it sorts the clauses with
+``clause_sort_key``, translates each with ``trans_clause`` into a store
+of its own and unions the stores.  The library computes each clause's
+ordered literals and sort key once and collects the chains in one list.
+``reference_store_domains`` is the domain each variable gets in
+``boolprop.model.store_to_csp``, read by probing the store for both of
+the variable's literals.
+
 ``semantically_follows`` is the tests' oracle for the consequence
 check of ``boolprop.clauses.simulate_unit_by_bool``, which reads the
 remainder as definitions instead and never enumerates.  It enumerates
@@ -30,11 +39,29 @@ from __future__ import annotations
 
 import itertools
 
-from boolprop.clauses import EMPTY_CLAUSE, RESOLVE, ClauseSet, UnitStep, unit_step
+from typing import Iterable, Sequence
+
+from boolprop.clauses import (
+    EMPTY_CLAUSE,
+    RESOLVE,
+    ClauseSet,
+    FreshVarSource,
+    UnitStep,
+    clause_sort_key,
+    trans_clause,
+    unit_step,
+)
 from boolprop.model import (
+    EMPTY,
+    FULL,
+    ONE,
+    ZERO,
     Assignment,
     BooleanCSP,
     ConstraintStore,
+    Domain,
+    Literal,
+    Variable,
     is_failed,
     iter_solutions,
     store_satisfied,
@@ -106,6 +133,38 @@ def reference_unit_propagate(
         rest = sets[-1] - {step.target}
         sets.append(rest | {step.remainder} if step.op == RESOLVE else rest)
     return sets, trace
+
+
+def reference_translate_clause_set(
+    cs: ClauseSet, declared: Iterable[Variable] = ()
+) -> ConstraintStore:
+    if EMPTY_CLAUSE in cs:
+        raise ValueError("cannot translate a clause set containing the empty clause")
+    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals}.union(declared))
+    constraints, literals = set(), set()
+    for c in sorted(cs, key=clause_sort_key):
+        part = trans_clause(c, fresh)
+        constraints |= part.constraints
+        literals |= part.literals
+    return ConstraintStore(frozenset(constraints), frozenset(literals))
+
+
+def reference_store_domains(
+    s: ConstraintStore, seq: Sequence[Variable]
+) -> dict[Variable, Domain]:
+    domains = {}
+    for v in seq:
+        has_pos = Literal(v, True) in s.literals
+        has_neg = Literal(v, False) in s.literals
+        if has_pos and has_neg:
+            domains[v] = EMPTY
+        elif has_pos:
+            domains[v] = ONE
+        elif has_neg:
+            domains[v] = ZERO
+        else:
+            domains[v] = FULL
+    return domains
 
 
 _MAX_ENUM_VARS = 24

@@ -40,8 +40,10 @@ from boolprop.model import (
     BoolConstraint,
     ConstraintKind,
     Literal,
+    Variable,
     andc,
     eqc,
+    is_failed,
     neg,
     notc,
     orc,
@@ -51,8 +53,13 @@ from boolprop.model import (
     store_variables,
     variables,
 )
+from boolprop import cli
 from boolprop.rules import BOOL, apply_rule_store
-from reference import reference_semantically_follows, semantically_follows
+from reference import (
+    reference_semantically_follows,
+    reference_translate_clause_set,
+    semantically_follows,
+)
 from strategies import clause_sets, stores
 
 X, Y, Z = variables("x y z")
@@ -714,3 +721,57 @@ def test_dimacs_rejects_a_second_header():
 def test_translate_clause_set_is_deterministic():
     cs, _ = parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n")
     assert translate_clause_set(cs) == translate_clause_set(cs)
+
+
+def _planted_3cnf(rng, declared, m):
+    """m distinct 3-clauses over all but the last two declared variables,
+    each satisfied by one hidden assignment."""
+    used = declared[:-2]
+    hidden = {v: rng.random() < 0.5 for v in used}
+    out = set()
+    while len(out) < m:
+        lits = [Literal(v, rng.random() < 0.5) for v in rng.sample(used, 3)]
+        if any(l.positive == hidden[l.var] for l in lits):
+            out.add(clause(*lits))
+    return frozenset(out)
+
+
+def test_translation_matches_the_per_clause_union_on_random_sets():
+    rng = random.Random(14)
+    for _ in range(300):
+        cs = random_clause_set(rng, max_vars=6, max_clauses=8, max_len=5)
+        assert translate_clause_set(cs) == reference_translate_clause_set(cs)
+        declared = [Variable(f"x{i+1}", i) for i in range(8)]
+        assert translate_clause_set(cs, declared) == reference_translate_clause_set(
+            cs, declared
+        )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_translation_matches_the_per_clause_union_on_planted_3cnfs(seed):
+    rng = random.Random(seed)
+    n = rng.randint(8, 30)
+    declared = tuple(Variable(f"x{i+1}", i) for i in range(n))
+    cs = _planted_3cnf(rng, declared, rng.randint(n, 4 * n))
+    s = translate_clause_set(cs, declared)
+    assert s == reference_translate_clause_set(cs, declared)
+    # the DIMACS path over the same file: the declared variables no
+    # clause mentions stay, and an empty clause adds a failed _false
+    for text, failed in [
+        (format_dimacs(cs, declared), False),
+        (format_dimacs(cs | {EMPTY_CLAUSE}, declared), True),
+    ]:
+        csp, clause_vars = cli._dimacs_csp(text)
+        assert clause_vars == declared
+        assert set(csp.vars) == set(store_variables(s)) | set(declared) | (
+            {Variable("_false", len(csp.vars) - 1)} if failed else set()
+        )
+        assert csp.constraints == s.constraints
+        assert is_failed(csp) == failed
+        if failed:
+            assert csp.vars[-1].name == "_false" and not csp.domains[csp.vars[-1]]
+
+
+def test_translation_rejects_the_empty_clause():
+    with pytest.raises(ValueError, match="the empty clause"):
+        translate_clause_set(frozenset({EMPTY_CLAUSE, clause(pos(X))}))

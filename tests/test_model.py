@@ -16,7 +16,9 @@ from boolprop.model import (
     BoolConstraint,
     BooleanCSP,
     ConstraintKind,
+    Literal,
     andc,
+    as_domain,
     bcsp,
     csp_to_store,
     eqc,
@@ -38,6 +40,7 @@ from boolprop.model import (
     truth_table,
     variables,
 )
+from reference import reference_store_domains
 from strategies import csps, stores
 
 X, Y, Z = variables("x y z")
@@ -220,3 +223,103 @@ def test_hashing_a_kind_makes_no_python_level_call():
 def test_a_pickled_kind_is_the_same_member(kind):
     loaded = pickle.loads(pickle.dumps(kind))
     assert loaded is kind and hash(loaded) == hash(kind)
+
+
+def test_constraint_rejects_a_bare_variable():
+    # a Variable is a (name, index) tuple; it must not pass as two roles
+    with pytest.raises(TypeError):
+        BoolConstraint(ConstraintKind.EQ, X)
+    with pytest.raises(TypeError):
+        BoolConstraint(ConstraintKind.NOT, vars=Y)
+
+
+VALUE_TYPES = ["Variable", "Literal", "BoolConstraint"]
+VALUES = [
+    (X, ("x", 0), "Variable(name='x', index=0)"),
+    (neg(Y), (Y, False), "Literal(var=Variable(name='y', index=1), positive=False)"),
+    (
+        andc(X, Y, Z),
+        (ConstraintKind.AND, (X, Y, Z)),
+        "BoolConstraint(kind=<ConstraintKind.AND: 'and'>, vars=(Variable(name='x', "
+        "index=0), Variable(name='y', index=1), Variable(name='z', index=2)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES, ids=VALUE_TYPES)
+def test_model_values_hash_as_their_fields(value, fields, text):
+    # the hash of the frozen dataclasses these replace: set orders,
+    # and so every trace and output, depend on it
+    assert hash(value) == hash(fields)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [(X, ("name", "index")), (pos(X), ("var", "positive")), (eqc(X, Y), ("kind", "vars"))],
+    ids=VALUE_TYPES,
+)
+def test_model_values_are_immutable(value, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        value.extra = None
+
+
+@pytest.mark.parametrize("cls", [Variable, Literal, BoolConstraint])
+def test_model_values_hash_and_compare_in_c(cls):
+    # a CNF translation hashes each constraint and literal many times;
+    # a Python-level __hash__ or __eq__ would be a call at each of them
+    assert cls.__hash__ is tuple.__hash__
+    assert cls.__eq__ is tuple.__eq__
+
+
+def test_variable_equals_its_plain_tuple():
+    assert X == ("x", 0) and pos(X) == (("x", 0), True)
+    assert X != Variable("x", 1) and pos(X) != neg(X)
+
+
+def test_constraint_checks_keep_their_messages():
+    with pytest.raises(ValueError, match="^eq constraint needs 2 variables, got 3$"):
+        BoolConstraint(ConstraintKind.EQ, (X, Y, Z))
+    with pytest.raises(ValueError, match="^repeated variable in or constraint$"):
+        BoolConstraint(ConstraintKind.OR, [X, X, Z])
+    assert BoolConstraint(ConstraintKind.NOT, [X, Y]).vars == (X, Y)
+
+
+def test_kind_arity_is_a_member_attribute():
+    assert {k: k.arity for k in ConstraintKind} == {
+        ConstraintKind.EQ: 2, ConstraintKind.NOT: 2, ConstraintKind.AND: 3, ConstraintKind.OR: 3
+    }
+    assert all("arity" in vars(k) for k in ConstraintKind)
+
+
+def test_as_domain_keeps_a_domain_frozenset():
+    for dom in (EMPTY, ZERO, ONE, FULL):
+        assert as_domain(dom) is dom
+    assert as_domain([1, 0]) == FULL and as_domain(1) == ONE
+    with pytest.raises(ValueError, match=r"^domain members must be 0 or 1, got \[0, 2\]$"):
+        as_domain(frozenset({0, 2}))
+
+
+@given(stores(max_vars=5, max_literals=8))
+@settings(max_examples=300)
+def test_store_to_csp_gives_the_probed_domains(s):
+    seq = store_variables(s)
+    assert store_to_csp(s).domains == reference_store_domains(s, seq)
+    # a longer sequence: unmentioned variables stay {0, 1}
+    extra = seq + (Variable("w", 9),)
+    csp = store_to_csp(s, extra)
+    assert list(csp.domains) == list(extra)
+    assert csp.domains == reference_store_domains(s, extra)
+
+
+def test_store_to_csp_with_complementary_literals():
+    s = store(orc(X, Y, Z), pos(X), neg(X), neg(Y), pos(Z), neg(Z))
+    assert store_to_csp(s).domains == {X: EMPTY, Y: ZERO, Z: EMPTY}
+    assert store_to_csp(s).domains == reference_store_domains(s, (X, Y, Z))
+    with pytest.raises(ValueError, match=r"^variable sequence misses \['y', 'z'\]$"):
+        store_to_csp(s, (X,))
+    with pytest.raises(ValueError, match=r"^variable sequence misses \['x'\]$"):
+        store_to_csp(store(pos(X), neg(X)), (Y,))
