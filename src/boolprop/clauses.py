@@ -20,7 +20,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from boolprop.model import (
     BoolConstraint,
@@ -98,13 +98,6 @@ def clause_set_variables(cs: ClauseSet) -> tuple[Variable, ...]:
         for lit in c.ordered():
             seen.setdefault(lit.var)
     return tuple(seen)
-
-
-def clause_set_satisfied(cs: ClauseSet, valuation: Mapping[Variable, int]) -> bool:
-    return all(
-        any(valuation[l.var] == (1 if l.positive else 0) for l in c.literals)
-        for c in cs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +333,6 @@ def _chain(
     last = lits[-1]
     chain.append(eqc(last.var, out) if last.positive else notc(last.var, out))
     return chain, root
-
-
-def trans_clause_eq(
-    q: Clause, target: Variable, fresh: FreshVarSource
-) -> ConstraintStore:
-    """Constraints expressing that ``target`` equals the clause's value.
-
-    Literals are consumed in canonical order (by variable index, positive
-    before negative); each non-unit step introduces fresh variables.
-    """
-    chain, _ = _chain(q.ordered(), fresh, target)
-    return ConstraintStore(frozenset(chain), frozenset())
 
 
 def trans_clause(q: Clause, fresh: FreshVarSource) -> ConstraintStore:

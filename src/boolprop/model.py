@@ -140,6 +140,12 @@ class BoolConstraint(_ConstraintFields):
             raise ValueError(f"repeated variable in {kind.value} constraint")
         return tuple.__new__(cls, (kind, vars))
 
+    @classmethod
+    def _make(cls, fields: Iterable) -> BoolConstraint:
+        # the NamedTuple base builds through tuple.__new__, skipping the
+        # checks above; its ``_replace`` builds through this method
+        return cls(*fields)
+
     def __str__(self) -> str:
         return self.kind._value_ + " " + " ".join([v.name for v in self.vars])
 
@@ -425,14 +431,3 @@ def csp_to_store(csp: BooleanCSP) -> ConstraintStore:
             lits.add(Literal(v, True))
             lits.add(Literal(v, False))
     return ConstraintStore(csp.constraints, frozenset(lits))
-
-
-def store_satisfied(s: ConstraintStore, valuation: Mapping[Variable, int]) -> bool:
-    """Does a total valuation of the store's variables satisfy it?"""
-    for lit in s.literals:
-        if valuation[lit.var] != (1 if lit.positive else 0):
-            return False
-    for c in s.constraints:
-        if tuple(valuation[v] for v in c.vars) not in truth_table(c.kind):
-            return False
-    return True

@@ -12,8 +12,11 @@ of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
 
 Whether a constraint is solved depends only on its kind and its own
 domains, so ``_SOLVED`` tabulates it once per kind and domain code.
-That one table decides both a rule's ``drops`` and, in ``close`` and
-``closed_under``, whether a step is relevant.
+That one table decides a rule's ``drops`` and, through it, whether a
+step is relevant.  Each rule set compiles its rules once into a table
+of the rules whose step is relevant at each kind and domain code, so
+``close`` and ``closed_under`` look their candidates up instead of
+testing every rule of a constraint's kind.
 """
 
 from __future__ import annotations
@@ -120,21 +123,12 @@ def rule(
     )
 
 
-class _CompiledRule(NamedTuple):
-    """A rule as a test on a constraint's domain code, sum(mask << 2 * role).
+class _Entry(NamedTuple):
+    """A rule in its set's table at one domain code of its kind: its
+    step is relevant there, or, for a replacement rule, it applies."""
 
-    ``premise_code`` is the code's premise bits when each premise domain
-    is its singleton; ``change_mask`` has the bits of the concluded
-    domains outside their singletons, or all bits when the rule drops
-    the constraint.  ``_holds`` tests both.
-    """
-
-    premise_mask: int
-    premise_code: int
-    change_mask: int
-    index: int  # position in the rule set: the schedule's first key
     rule: PropagationRule
-    conclusion: tuple[tuple[int, int], ...]  # (position, singleton mask to meet)
+    moves: tuple[tuple[int, int], ...]  # (role, mask after), for each mask it shrinks
 
 
 @dataclass(frozen=True)
@@ -143,24 +137,37 @@ class RuleSet:
     rules: tuple[PropagationRule, ...]
 
     @cached_property
-    def _by_kind(self) -> dict[ConstraintKind, tuple[_CompiledRule, ...]]:
-        """The compiled rules of each constraint kind, in rule order.
+    def _table(self) -> dict[ConstraintKind, tuple[dict[int, _Entry], ...]]:
+        """For each kind and domain code, sum(mask << 2 * role), the
+        entries of the rules whose step is relevant there, by rule index.
+
+        A rule applies at a code when each premise role holds its
+        singleton.  A rule without replacements is listed where its step
+        shrinks a mask, or drops the constraint while ``_SOLVED`` marks
+        it unsolved; that decides its relevance, since nothing else
+        differs between the CSP and its successor.  A replacement rule
+        is listed wherever it applies, since whether its step is
+        relevant can also depend on which replacements are present
+        (``_relevant_change``).
 
         Built on first use and kept on this instance, so that a reduced
-        set from ``without`` is freed together with its compiled rules.
+        set from ``without`` is freed together with its table.
         """
-        out: dict[ConstraintKind, list[_CompiledRule]] = {k: [] for k in ConstraintKind}
+        table = {kind: [{} for _ in range(4**kind.arity)] for kind in ConstraintKind}
         for index, r in enumerate(self.rules):
-            concluded = r.conclusion_assignments
-            out[r.kind].append(_CompiledRule(
-                sum(3 << 2 * p for p, _ in r.premise),
-                sum(1 << v + 2 * p for p, v in r.premise),
-                -1 if r.drops else sum(2 >> v << 2 * p for p, v in concluded),
-                index,
-                r,
-                tuple((p, 1 << v) for p, v in concluded),
-            ))
-        return {k: tuple(rules) for k, rules in out.items()}
+            premise_mask = sum(3 << 2 * p for p, _ in r.premise)
+            premise_code = sum(1 << v << 2 * p for p, v in r.premise)
+            for code, entries in enumerate(table[r.kind]):
+                if code & premise_mask != premise_code:
+                    continue
+                moves = tuple(
+                    (p, code >> 2 * p & 1 << v)
+                    for p, v in r.conclusion_assignments
+                    if code >> 2 * p & 2 >> v
+                )
+                if r.patterns or moves or (r.drops and not _SOLVED[r.kind][code]):
+                    entries[index] = _Entry(r, moves)
+        return {kind: tuple(entries) for kind, entries in table.items()}
 
     def by_name(self, rule_name: str) -> PropagationRule:
         for r in self.rules:
@@ -379,11 +386,6 @@ def _solved_codes(kind: ConstraintKind) -> tuple[bool, ...]:
 _SOLVED = {kind: _solved_codes(kind) for kind in ConstraintKind}
 
 
-def _holds(cr: _CompiledRule, code: int) -> bool:
-    """The mask test: the rule applies and would change the CSP."""
-    return code & cr.premise_mask == cr.premise_code and code & cr.change_mask != 0
-
-
 class Closure:
     """A CSP under closure, changed in place and undone through a trail.
 
@@ -469,39 +471,33 @@ class Closure:
 
 
 def _relevant_change(
-    cr: _CompiledRule,
+    e: _Entry,
     c: BoolConstraint,
     scope: tuple[int, ...],
-    masks: list[int],
+    code: int,
     has: Callable[[BoolConstraint, tuple[int, ...]], bool],
-) -> tuple[list, list] | None:
-    """What firing the rule on ``c``, on the positions ``scope``, changes
-    once its mask test holds, or None when the step is a reformulation.
+) -> list | None:
+    """The (key, constraint, positions) of each replacement that firing
+    the replacement rule of ``e`` on ``c`` adds, on the positions
+    ``scope`` at the domain code ``code``, or None when the step is a
+    reformulation.
 
-    Returns the (position, mask after) pairs in conclusion order and the
-    (key, constraint, positions) of each replacement that ``has`` does
-    not find.  Only the domains of ``c``'s variables, ``c`` itself and
-    the added constraints, which lie on ``c``'s variables, differ
-    between the CSP and its successor.  So the step is relevant exactly
-    when it moves a mask, or, with the domains unchanged, when ``c`` is
-    dropped unsolved or a replacement is added unsolved; ``_SOLVED``
-    reads each off the constraint's own domain code.
+    A replacement is added unless ``has`` finds it.  Only the domains of
+    ``c``'s variables, ``c`` itself and the added constraints, which lie
+    on ``c``'s variables, differ between the CSP and its successor.  So
+    the step is relevant exactly when it moves a mask, drops ``c``
+    unsolved or adds a replacement unsolved; ``_SOLVED`` reads each off
+    the constraint's own domain code.
     """
-    r = cr.rule
-    moved = [(scope[p], masks[scope[p]] & m) for p, m in cr.conclusion if masks[scope[p]] & ~m]
-    added = []
-    for kind, ps in r.patterns:
-        s = tuple([scope[p] for p in ps])
+    added, relevant = [], bool(e.moves) or not _SOLVED[c.kind][code]
+    for kind, ps in e.rule.patterns:
         a = BoolConstraint(kind, tuple([c.vars[p] for p in ps]))
+        s = tuple([scope[p] for p in ps])
         if not has(a, s):
             added.append((constraint_sort_key(a), a, s))
-    if (
-        moved
-        or (r.drops and not _SOLVED[c.kind][_code(masks, scope)])
-        or not all(_SOLVED[a.kind][_code(masks, s)] for _, a, s in added)
-    ):
-        return moved, added
-    return None
+            sub = sum((code >> 2 * p & 3) << 2 * j for j, p in enumerate(ps))
+            relevant = relevant or not _SOLVED[kind][sub]
+    return added if relevant else None
 
 
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
@@ -509,18 +505,18 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
     Constraints are tried in canonical order, so the work done before
     the first relevant one is found does not depend on hash order.
-    Each is tested on its own masks, so its positions are its roles,
-    and ``_relevant_change`` decides relevance from those masks alone,
-    as in ``close``.
+    Each constraint's entries are read from the rule set's table at its
+    own domain code, as in ``close``: any entry of a rule without
+    replacements is relevant, and ``_relevant_change`` decides the
+    others, with the constraint's positions taken as its roles.
     """
-    by_kind, domains = rs._by_kind, csp.domains
+    table, domains = rs._table, csp.domains
     has = lambda a, _: a in csp.constraints
     for c in sorted(csp.constraints, key=constraint_sort_key):
-        masks = [_MASK[domains[v]] for v in c.vars]
-        roles = _ROLES[len(masks)]
-        code = _code(masks, roles)
-        for cr in by_kind[c.kind]:
-            if _holds(cr, code) and _relevant_change(cr, c, roles, masks, has):
+        roles = _ROLES[len(c.vars)]
+        code = _code([_MASK[domains[v]] for v in c.vars], roles)
+        for e in table[c.kind][code].values():
+            if not e.rule.patterns or _relevant_change(e, c, roles, code, has) is not None:
                 return False
     return True
 
@@ -536,13 +532,13 @@ def close(
     an equality, which can happen |C| times; ``max_steps`` defaults to
     that bound, and exceeding it raises RuntimeError.
 
-    The work runs on a ``Closure``.  Scanning a constraint pushes
-    (rule index, constraint key, id) for each rule of its kind whose
-    mask test holds, that is, whose application would change the CSP.
-    When popped, a candidate is tested again and fired if
-    ``_relevant_change`` finds it relevant, as ``closed_under`` does:
-    it moves a mask, or drops or adds a constraint that ``_SOLVED``
-    marks unsolved at its domain code, so no CSP is built and
+    The work runs on a ``Closure``.  Scanning a constraint looks up the
+    rule set's table at the constraint's kind and domain code and
+    pushes (rule index, constraint key, id) for each entry there.  A
+    popped candidate reads its entry again at the current code and
+    fires if the entry is still there; only a replacement rule's entry
+    is handed to ``_relevant_change``, since its relevance can depend on
+    the other constraints.  So no CSP is built and
     ``is_reformulation``, the specification, is not asked.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
@@ -560,17 +556,15 @@ def close(
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
         max_steps = 2 * len(state.vars) + sum(state.alive)
-    by_kind, vars, masks = rs._by_kind, state.vars, state.masks
+    table, vars, masks = rs._table, state.vars, state.masks
     constraints, scopes, keys, alive, occurs = (
         state.constraints, state.scopes, state.keys, state.alive, state.occurs
     )
     heap: list = []
 
     def scan(i: int) -> None:
-        code = _code(masks, scopes[i])
-        for cr in by_kind[constraints[i].kind]:
-            if _holds(cr, code):
-                heapq.heappush(heap, (cr.index, keys[i], i, cr))
+        for index in table[constraints[i].kind][_code(masks, scopes[i])]:
+            heapq.heappush(heap, (index, keys[i], i))
 
     for i in state.pending:
         if alive[i]:
@@ -578,17 +572,23 @@ def close(
     state.pending.clear()
     trace: list[CspStep] = []
     while heap:
-        _, _, i, cr = heapq.heappop(heap)
-        if not alive[i] or not _holds(cr, _code(masks, scopes[i])):
+        index, _, i = heapq.heappop(heap)
+        if not alive[i]:
             continue
-        c, scope, r = constraints[i], scopes[i], cr.rule
-        change = _relevant_change(cr, c, scope, masks, state.has)
-        if change is None:
+        c, scope = constraints[i], scopes[i]
+        code = _code(masks, scope)
+        e = table[c.kind][code].get(index)
+        if e is None:
             continue
-        moved, added = change
+        r, added = e.rule, []
+        if r.patterns:
+            added = _relevant_change(e, c, scope, code, state.has)
+            if added is None:
+                continue
         if len(trace) >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
-        changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in sorted(moved)])
+        moved = sorted([(scope[p], m) for p, m in e.moves])
+        changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in moved])
         added.sort(key=lambda a: a[0])
         state._apply(moved, i if r.drops else -1, added)
         trace.append(CspStep(r.name, c, changes, r.drops, tuple([a for _, a, _ in added])))

@@ -33,20 +33,28 @@ remainder as definitions instead and never enumerates.  It enumerates
 the solutions of ``store_to_csp``.  ``reference_semantically_follows``
 is its definition as a loop over every 0/1 valuation of each store's
 variables, and the two must give the same answer.
+
+``store_satisfied`` and ``clause_set_satisfied`` test a total valuation
+against a store or a clause set, and ``trans_clause_eq`` is the clause
+chain of ``boolprop.clauses`` onto a given target variable: the tests
+state the translations' meaning through them, and the library has no
+use for them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from boolprop.clauses import (
     EMPTY_CLAUSE,
     RESOLVE,
+    Clause,
     ClauseSet,
     FreshVarSource,
     UnitStep,
+    _chain,
     clause_sort_key,
     trans_clause,
     unit_step,
@@ -64,9 +72,9 @@ from boolprop.model import (
     Variable,
     is_failed,
     iter_solutions,
-    store_satisfied,
     store_to_csp,
     store_variables,
+    truth_table,
 )
 from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
 from boolprop.solver import SAT, UNSAT, SolveResult
@@ -213,3 +221,33 @@ def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bo
             if tuple(valuation[v] for v in shared) not in extendable:
                 return False
     return True
+
+
+def store_satisfied(s: ConstraintStore, valuation: Mapping[Variable, int]) -> bool:
+    """Does a total valuation of the store's variables satisfy it?"""
+    for lit in s.literals:
+        if valuation[lit.var] != (1 if lit.positive else 0):
+            return False
+    for c in s.constraints:
+        if tuple(valuation[v] for v in c.vars) not in truth_table(c.kind):
+            return False
+    return True
+
+
+def clause_set_satisfied(cs: ClauseSet, valuation: Mapping[Variable, int]) -> bool:
+    return all(
+        any(valuation[l.var] == (1 if l.positive else 0) for l in c.literals)
+        for c in cs
+    )
+
+
+def trans_clause_eq(
+    q: Clause, target: Variable, fresh: FreshVarSource
+) -> ConstraintStore:
+    """Constraints expressing that ``target`` equals the clause's value.
+
+    Literals are consumed in canonical order (by variable index, positive
+    before negative); each non-unit step introduces fresh variables.
+    """
+    chain, _ = _chain(q.ordered(), fresh, target)
+    return ConstraintStore(frozenset(chain), frozenset())

@@ -15,7 +15,6 @@ from boolprop.clauses import (
     SUBSUME,
     FreshVarSource,
     apply_unit_step,
-    clause_set_satisfied,
     clause_set_variables,
     constraints_to_clauses,
     minimal_matching_store,
@@ -46,7 +45,6 @@ from boolprop.model import (
     is_failed,
     is_reformulation,
     iter_solutions,
-    store_satisfied,
     store_to_csp,
     store_variables,
     truth_table,
@@ -59,7 +57,7 @@ from boolprop.rulegen import (
 )
 from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close, closed_under
 from boolprop.solver import SAT, solve
-from reference import semantically_follows
+from reference import clause_set_satisfied, semantically_follows, store_satisfied
 
 X, Y, Z = variables("x y z")
 

@@ -18,7 +18,6 @@ from boolprop.clauses import (
     _check_redundant,
     apply_unit_step,
     clause,
-    clause_set_satisfied,
     clause_set_variables,
     constraints_to_clauses,
     format_dimacs,
@@ -29,7 +28,6 @@ from boolprop.clauses import (
     simulate_bool_by_unit,
     simulate_unit_by_bool,
     trans_clause,
-    trans_clause_eq,
     translate_clause_set,
     unit_propagate,
     unit_step,
@@ -49,16 +47,18 @@ from boolprop.model import (
     orc,
     pos,
     store,
-    store_satisfied,
     store_variables,
     variables,
 )
 from boolprop import cli
 from boolprop.rules import BOOL, apply_rule_store
 from reference import (
+    clause_set_satisfied,
     reference_semantically_follows,
     reference_translate_clause_set,
     semantically_follows,
+    store_satisfied,
+    trans_clause_eq,
 )
 from strategies import clause_sets, stores
 

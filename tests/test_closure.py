@@ -2,12 +2,14 @@
 
 ``close`` must pick the same steps as the full rescan in
 ``reference.reference_close`` and reach the same CSP; ``closed_under``
-must agree with "no relevant ``apply_rule_csp`` step"; the compiled
-match and relevance test must agree with ``apply_rule_csp`` on every
+must agree with "no relevant ``apply_rule_csp`` step"; each rule set's
+table of the rules relevant at a domain code, and the replacement
+rules' relevance test, must agree with ``apply_rule_csp`` on every
 single-constraint CSP, empty domains included, and on every state of a
 replaced constraint whose replacement is already present; the solved
 table must agree with ``is_solved``, and so must each rule's ``drops``,
-read from it; and the engine must never ask ``is_reformulation``.
+read from it; the engine must never ask ``is_reformulation``, and
+``close`` must hand only replacement rules to ``_relevant_change``.
 """
 
 import gc
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boolprop.rules
 from boolprop.cli import run_command
 from boolprop.consistency import random_csp
 from boolprop.model import (
@@ -41,7 +44,6 @@ from boolprop.rules import (
     RuleSet,
     _DOMAIN,
     _SOLVED,
-    _holds,
     _relevant_change,
     apply_rule_csp,
     close,
@@ -155,46 +157,57 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     assert len(instances) == 160
     present = list(_csps_with_a_replacement_present(system))
     assert len(present) == {"BOOL": 0, "BOOL_PRIME": 256, "ADDS_ONLY": 64}[system.name]
-    compiled = {cr.index: cr for rules in system._by_kind.values() for cr in rules}
-    assert sorted(compiled) == list(range(len(system.rules)))
-    indexed_rules = list(enumerate(system.rules))
+    table = system._table
+    assert {kind: len(codes) for kind, codes in table.items()} == {
+        kind: 4**kind.arity for kind in ConstraintKind
+    }
+    for kind, codes in table.items():
+        for entries in codes:
+            assert list(entries) == sorted(entries)
+            for index, e in entries.items():
+                assert e.rule is system.rules[index] and e.rule.kind is kind
     for csp in instances + present:
         assert closed_under(csp, system) == (first_relevant(csp, system) is None), csp
         state = Closure(csp)
-        for (i, c), (index, r) in itertools.product(enumerate(state.constraints), indexed_rules):
-            cr = compiled[index]
-            assert cr in system._by_kind[r.kind] and cr.rule is r
+        for (i, c), (index, r) in itertools.product(
+            enumerate(state.constraints), enumerate(system.rules)
+        ):
             applications = [a for a in apply_rule_csp(r, csp) if a.matched_constraint == c]
             if c.kind != r.kind:
                 assert not applications
                 continue
-            unchanged = all(
-                (a.after.domains, a.after.constraints) == (csp.domains, csp.constraints)
-                for a in applications
-            )
-            # the mask test holds exactly when an application changes the CSP
-            assert _holds(cr, _domain_code(csp, c)) == (not unchanged), (r.name, csp)
-            if unchanged:
-                continue
+            code = _domain_code(csp, c)
+            e = table[c.kind][code].get(index)
+            if not r.patterns:
+                # listed exactly where the step is relevant
+                assert (e is not None) == any(a.relevant for a in applications), (r.name, csp)
+                if e is None:
+                    continue
+                added = []
+            else:
+                # listed wherever the rule applies; the rest is decided
+                # against the other constraints
+                assert (e is not None) == bool(applications), (r.name, csp)
+                if e is None:
+                    continue
+                added = _relevant_change(e, c, state.scopes[i], code, state.has)
+                assert (added is not None) == applications[0].relevant, (r.name, csp)
+                if added is None:
+                    continue
             (application,) = applications
-            change = _relevant_change(cr, c, state.scopes[i], state.masks, state.has)
-            # None exactly for a reformulation, else that application's result
-            assert (change is not None) == application.relevant, (r.name, csp)
-            if change is None:
-                continue
-            moved, added = change
+            # the moves are that application's domain changes
+            moved = {c.vars[p]: _DOMAIN[m] for p, m in e.moves}
+            assert moved == {
+                v: d for v, d in application.after.domains.items() if d != csp.domains[v]
+            }, (r.name, csp)
             # each replacement not yet present, once
             assert sorted([a for _, a, _ in added], key=constraint_sort_key) == sorted(
                 application.after.constraints - csp.constraints, key=constraint_sort_key
             ), (r.name, csp)
-            after = csp.with_domains({csp.vars[p]: _DOMAIN[m] for p, m in moved})
             constraints = set(csp.constraints) | {a for _, a, _ in added}
             if r.drops:
                 constraints.discard(c)
-            assert (after.domains, constraints) == (
-                application.after.domains,
-                application.after.constraints,
-            ), (r.name, csp)
+            assert constraints == application.after.constraints, (r.name, csp)
 
 
 def _seeded_circuit(seed, inputs=6, gates=30):
@@ -238,6 +251,43 @@ def test_the_engine_never_asks_is_reformulation(tmp_path, monkeypatch, capsys):
     # both searches split, BOOL' adds replacements, and the closure checks as closed
     assert [code for code, _ in outputs] == [0] * 6
     assert "splits: 0" not in outputs[2][1].out and "added eq" in outputs[3][1].out
+
+
+def _seeded_3cnf(seed, n=12, m=52):
+    """A DIMACS random 3-CNF near the satisfiability threshold."""
+    rng = random.Random(seed)
+    lines = [f"p cnf {n} {m}\n"]
+    for _ in range(m):
+        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        lines.append(" ".join(map(str, lits)) + " 0\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("system", ["bool", "bool-prime"])
+def test_close_asks_relevance_only_of_replacement_rules(tmp_path, monkeypatch, capsys, system):
+    # every other rule's relevance is settled by the rule set's table
+    asked = []
+    inner = boolprop.rules._relevant_change
+
+    def counted(e, *args):
+        asked.append(e.rule)
+        return inner(e, *args)
+
+    monkeypatch.setattr("boolprop.rules._relevant_change", counted)
+    outputs = []
+    for seed in range(4):
+        for name, text in [("circuit.bcn", _seeded_circuit(seed)), ("cnf.cnf", _seeded_3cnf(seed))]:
+            path = tmp_path / f"{seed}{name}"
+            path.write_text(text)
+            code = run_command(["solve", str(path), "--system", system])
+            outputs.append((code, capsys.readouterr().out))
+    # the searches split, and both answers occur
+    assert {code for code, _ in outputs} == {0, 3}
+    assert sum("splits: 0" not in out for _, out in outputs) >= 4
+    if system == "bool":
+        assert asked == []
+    else:
+        assert asked and all(r.patterns for r in asked)
 
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
@@ -332,7 +382,14 @@ def test_compiled_rules_are_freed_with_their_rule_set():
     x, y, z = variables("x y z")
     csp = bcsp((x, y, z), {x: 0}, [BoolConstraint(_K.AND, (x, y, z))])
     assert [step.rule for step in close(csp, reduced)[1]] == ["AND 4"]
-    assert "_by_kind" in vars(reduced)
+    # the table is the reduced set's own, and only the set holds it
+    table = vars(reduced)["_table"]
+    names = {e.rule.name for codes in table.values() for es in codes for e in es.values()}
+    assert "AND 1" not in names and "AND 4" in names
+    assert table != BOOL._table
+    holders = gc.get_referrers(table)
+    assert len(holders) == 1 and holders[0] is vars(reduced)
+    del table, holders, names
     ref = weakref.ref(reduced)
     del reduced
     gc.collect()

@@ -33,14 +33,13 @@ from boolprop.model import (
     restricted_relation,
     solutions,
     store,
-    store_satisfied,
     store_to_csp,
     store_variables,
     Variable,
     truth_table,
     variables,
 )
-from reference import reference_store_domains
+from reference import reference_store_domains, store_satisfied
 from strategies import csps, stores
 
 X, Y, Z = variables("x y z")
@@ -286,6 +285,25 @@ def test_constraint_checks_keep_their_messages():
     with pytest.raises(ValueError, match="^repeated variable in or constraint$"):
         BoolConstraint(ConstraintKind.OR, [X, X, Z])
     assert BoolConstraint(ConstraintKind.NOT, [X, Y]).vars == (X, Y)
+
+
+def test_constraint_replace_and_make_keep_the_checks():
+    # the NamedTuple base's _replace and _make build without __new__
+    c = eqc(X, Y)
+    with pytest.raises(ValueError, match="^repeated variable in eq constraint$"):
+        c._replace(vars=(X, X))
+    with pytest.raises(ValueError, match="^and constraint needs 3 variables, got 2$"):
+        c._replace(kind=ConstraintKind.AND)
+    with pytest.raises(ValueError, match="^repeated variable in not constraint$"):
+        BoolConstraint._make([ConstraintKind.NOT, (Y, Y)])
+    with pytest.raises(TypeError):
+        c._replace(vars=Z)
+    with pytest.raises(TypeError):
+        BoolConstraint._make([ConstraintKind.EQ])
+    moved = c._replace(vars=[Y, Z])
+    assert type(moved) is BoolConstraint and moved == eqc(Y, Z)
+    assert hash(moved) == hash(eqc(Y, Z)) and moved.vars == (Y, Z)
+    assert BoolConstraint._make(andc(X, Y, Z)) == andc(X, Y, Z)
 
 
 def test_kind_arity_is_a_member_attribute():

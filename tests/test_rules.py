@@ -163,7 +163,9 @@ def test_closed_under_examples():
     assert closed_under(failed, BOOL)
 
 
-# counts the relevance checks one `verify --theorem bool-prime` makes
+# counts the relevance checks one `verify --theorem bool-prime` makes;
+# only replacement rules are checked since the rule sets' tables settle
+# the others, so the count fell from 972 to 172 with them
 _COUNT_RELEVANCE_CHECKS = """
 import contextlib, io
 import boolprop.cli, boolprop.rules
