@@ -2,11 +2,16 @@
 
 A constraint is hyper-arc consistent when every value in each of its
 variables' domains appears in some tuple of the constraint restricted to
-the current domains; a CSP is hyper-arc consistent when all of its
-constraints are.  The sweeps below machine-check the relationships
-between this notion and closure under the two rule systems, over every
-single-constraint CSP with nonempty domains plus seeded random
-multi-constraint instances.
+the current domains (``model.restricted_relation``, the specification);
+a CSP is hyper-arc consistent when all of its constraints are.  Both
+that and limitedness depend only on each constraint's kind and domain
+code, so they are read from per-code tables: ``rules._UNSUPPORTED``,
+derived from the truth tables and not from any rule, lists the
+unsupported (role, value) pairs at each code, and the four problematic
+patterns are compared as codes.  The sweeps below machine-check the
+relationships between this notion and closure under the two rule
+systems, over every single-constraint CSP with nonempty domains plus
+seeded random multi-constraint instances.
 """
 
 from __future__ import annotations
@@ -29,25 +34,33 @@ from boolprop.model import (
     constraint_sort_key,
     is_failed,
     is_reformulation,
-    restricted_relation,
     variables,
 )
 from boolprop.reports import SweepReport
-from boolprop.rules import BOOL, BOOL_PRIME, close, closed_under
+from boolprop.rules import (
+    _MASK,
+    _ROLES,
+    _UNSUPPORTED,
+    BOOL,
+    BOOL_PRIME,
+    _code,
+    close,
+    closed_under,
+)
 
 Witness = tuple[BoolConstraint, Variable, int]
 
 
 def hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
-    """All (constraint, variable, value) triples lacking support."""
-    out = []
-    for c in sorted(csp.constraints, key=constraint_sort_key):
-        rel = restricted_relation(c, csp)
-        for i, v in enumerate(c.vars):
-            for val in sorted(csp.domains[v]):
-                if not any(t[i] == val for t in rel):
-                    out.append((c, v, val))
-    return tuple(out)
+    """All (constraint, variable, value) triples lacking support, in
+    canonical constraint order, then role order, then ascending value."""
+    domains, found = csp.domains, []
+    for c in csp.constraints:
+        code = _code([_MASK[domains[v]] for v in c.vars], _ROLES[len(c.vars)])
+        if pairs := _UNSUPPORTED[c.kind][code]:
+            found.append((c, pairs))
+    found.sort(key=lambda f: constraint_sort_key(f[0]))
+    return tuple([(c, c.vars[p], value) for c, pairs in found for p, value in pairs])
 
 
 # The four problematic domain patterns: an AND/OR constraint that has
@@ -58,15 +71,24 @@ _PROBLEM_PATTERNS: tuple[tuple[ConstraintKind, tuple[frozenset, ...]], ...] = (
     (ConstraintKind.OR, (ZERO, FULL, FULL)),
     (ConstraintKind.OR, (FULL, ZERO, FULL)),
 )
+# The same patterns as domain codes, by kind, which ``is_limited`` reads.
+_PROBLEM_CODES = {
+    kind: frozenset(
+        _code([_MASK[d] for d in pattern], _ROLES[len(pattern)])
+        for k, pattern in _PROBLEM_PATTERNS
+        if k is kind
+    )
+    for kind in ConstraintKind
+}
 
 
 def is_limited(csp: BooleanCSP) -> bool:
     """True when none of the four problematic patterns occurs in the CSP."""
+    domains = csp.domains
     for c in csp.constraints:
-        doms = tuple(csp.domains[v] for v in c.vars)
-        for kind, pattern in _PROBLEM_PATTERNS:
-            if c.kind == kind and doms == pattern:
-                return False
+        codes = _PROBLEM_CODES[c.kind]
+        if codes and _code([_MASK[domains[v]] for v in c.vars], _ROLES[len(c.vars)]) in codes:
+            return False
     return True
 
 
@@ -166,16 +188,11 @@ def rule_necessity_counterexamples() -> dict[str, list[BooleanCSP]]:
     """For each rule of BOOL, the single-constraint instances that are
     closed under the remaining nineteen rules yet not hyper-arc
     consistent.  Every rule must have at least one."""
+    inconsistent = [csp for csp in single_constraint_csps() if hyper_arc_witnesses(csp)]
     out: dict[str, list[BooleanCSP]] = {}
-    instances = list(single_constraint_csps())
     for r in BOOL.rules:
         reduced = BOOL.without(r.name)
-        found = [
-            csp
-            for csp in instances
-            if closed_under(csp, reduced) and hyper_arc_witnesses(csp)
-        ]
-        out[r.name] = found
+        out[r.name] = [csp for csp in inconsistent if closed_under(csp, reduced)]
     return out
 
 
@@ -214,7 +231,7 @@ def verify_bool_prime(budget: int = 1000, seed: int = 0) -> SweepReport:
         closed_prime = closed_under(csp, BOOL_PRIME)
         if closed_prime and not hac:
             failures.append(f"{describe_csp(csp)}: closed under BOOL' but not hyper-arc")
-        if is_limited(csp) and hac and not closed_prime:
+        if hac and not closed_prime and is_limited(csp):
             failures.append(f"{describe_csp(csp)}: limited + hyper-arc but not closed")
     for csp in problematic_csps():
         checked += 1

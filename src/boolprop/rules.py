@@ -16,7 +16,10 @@ That one table decides a rule's ``drops`` and, through it, whether a
 step is relevant.  Each rule set compiles its rules once into a table
 of the rules whose step is relevant at each kind and domain code, so
 ``close`` and ``closed_under`` look their candidates up instead of
-testing every rule of a constraint's kind.
+testing every rule of a constraint's kind.  The pass over each kind's
+tuples that builds ``_SOLVED`` also builds ``_UNSUPPORTED``, the values
+that no tuple supports, from which ``consistency`` reads hyper-arc
+consistency without asking the rules.
 """
 
 from __future__ import annotations
@@ -365,25 +368,44 @@ def _code(masks: list[int], scope: tuple[int, ...]) -> int:
     return code | masks[scope[2]] << 4 if len(scope) == 3 else code
 
 
-def _solved_codes(kind: ConstraintKind) -> tuple[bool, ...]:
-    """Whether a constraint of the kind is solved, by domain code.
+def _code_tables() -> tuple[dict, dict]:
+    """For each kind and domain code: whether a constraint is solved, and
+    the (role, value) pairs no tuple of its restricted relation supports,
+    in role order and then ascending value.
 
-    It is solved when every tuple of its domains' product lies in its
-    relation (``model.is_solved``).  A tuple, as a code with one bit per
-    role, lies in that product when the domain code has all its bits.
+    A tuple, as a code with bit v + 2 * role set for each value, lies in
+    the domains' product when the domain code has all its bits.  The
+    constraint is solved when all such tuples lie in its relation
+    (``model.is_solved``), and a value, bit v + 2 * role of the code, is
+    supported when one of them in the relation holds it
+    (``model.restricted_relation``).  An empty domain leaves no tuple.
     """
-    table = truth_table(kind)
-    tuples = [
-        (sum(1 << v + 2 * p for p, v in enumerate(t)), t in table)
-        for t in itertools.product((0, 1), repeat=kind.arity)
-    ]
-    return tuple(
-        all(ok for fit, ok in tuples if code & fit == fit) for code in range(4**kind.arity)
-    )
+    solved, unsupported = {}, {}
+    for kind in ConstraintKind:
+        table, bits = truth_table(kind), range(2 * kind.arity)
+        fits = [
+            (sum(1 << v + 2 * p for p, v in enumerate(t)), t in table)
+            for t in itertools.product((0, 1), repeat=kind.arity)
+        ]
+        solved_at, unsupported_at = [], []
+        for code in range(4**kind.arity):
+            all_in, supported = True, 0
+            for fit, ok in fits:
+                if code & fit == fit:
+                    if ok:
+                        supported |= fit
+                    else:
+                        all_in = False
+            missing = code & ~supported
+            solved_at.append(all_in)
+            unsupported_at.append(tuple([(b >> 1, b & 1) for b in bits if missing >> b & 1]))
+        solved[kind], unsupported[kind] = tuple(solved_at), tuple(unsupported_at)
+    return solved, unsupported
 
 
-# Built once, at import: 16 codes for each binary kind, 64 for each ternary one.
-_SOLVED = {kind: _solved_codes(kind) for kind in ConstraintKind}
+# Built once, at import: 16 codes for each binary kind, 64 for each
+# ternary one.  ``consistency`` reads ``_UNSUPPORTED``.
+_SOLVED, _UNSUPPORTED = _code_tables()
 
 
 class Closure:

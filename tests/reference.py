@@ -34,6 +34,14 @@ the solutions of ``store_to_csp``.  ``reference_semantically_follows``
 is its definition as a loop over every 0/1 valuation of each store's
 variables, and the two must give the same answer.
 
+``reference_hyper_arc_witnesses`` and ``reference_is_limited`` are the
+specifications of ``boolprop.consistency.hyper_arc_witnesses`` and
+``is_limited``: the first builds each constraint's restricted relation
+with ``restricted_relation`` and looks for a supporting tuple of every
+value, the second compares each constraint's domains with the four
+problematic patterns.  The library reads both from per-code tables and
+must give the same triples in the same order.
+
 ``store_satisfied`` and ``clause_set_satisfied`` test a total valuation
 against a store or a clause set, and ``trans_clause_eq`` is the clause
 chain of ``boolprop.clauses`` onto a given target variable: the tests
@@ -59,6 +67,7 @@ from boolprop.clauses import (
     trans_clause,
     unit_step,
 )
+from boolprop.consistency import _PROBLEM_PATTERNS, Witness
 from boolprop.model import (
     EMPTY,
     FULL,
@@ -70,8 +79,10 @@ from boolprop.model import (
     Domain,
     Literal,
     Variable,
+    constraint_sort_key,
     is_failed,
     iter_solutions,
+    restricted_relation,
     store_to_csp,
     store_variables,
     truth_table,
@@ -219,6 +230,26 @@ def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bo
         valuation = dict(zip(s_vars, values))
         if store_satisfied(s, valuation):
             if tuple(valuation[v] for v in shared) not in extendable:
+                return False
+    return True
+
+
+def reference_hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
+    out = []
+    for c in sorted(csp.constraints, key=constraint_sort_key):
+        rel = restricted_relation(c, csp)
+        for i, v in enumerate(c.vars):
+            for val in sorted(csp.domains[v]):
+                if not any(t[i] == val for t in rel):
+                    out.append((c, v, val))
+    return tuple(out)
+
+
+def reference_is_limited(csp: BooleanCSP) -> bool:
+    for c in csp.constraints:
+        doms = tuple(csp.domains[v] for v in c.vars)
+        for kind, pattern in _PROBLEM_PATTERNS:
+            if c.kind == kind and doms == pattern:
                 return False
     return True
 

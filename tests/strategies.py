@@ -1,6 +1,9 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies and instance generators shared across the
+test modules."""
 
 from __future__ import annotations
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -16,6 +19,15 @@ from boolprop.clauses import Clause
 
 NONEMPTY_DOMAINS = (frozenset({0}), frozenset({1}), frozenset({0, 1}))
 ALL_DOMAINS = NONEMPTY_DOMAINS + (frozenset(),)
+
+
+def every_single_constraint_csp():
+    """16 + 16 + 64 + 64 CSPs: every domain state of one constraint."""
+    for kind in ConstraintKind:
+        vars = variables("x y" if kind.arity == 2 else "x y z")
+        c = BoolConstraint(kind, vars)
+        for doms in itertools.product((frozenset(),) + NONEMPTY_DOMAINS, repeat=kind.arity):
+            yield bcsp(vars, dict(zip(vars, doms)), [c])
 
 
 def _vars(n):

@@ -144,12 +144,57 @@ def test_check_hyper_arc_violation(tmp_path, capsys):
     assert "unsupported:" in out
 
 
+def test_check_hyper_arc_lists_every_unsupported_value_in_order(tmp_path, capsys):
+    # constraints in canonical order (by variable indices, then kind),
+    # then roles in order, then values ascending; the empty domain of e
+    # starves both values of b and d, and the AND on a b g is consistent
+    f = tmp_path / "mixed.bcn"
+    f.write_text(
+        "var a b c d e f g\ndom a 1\ndom c 0\ndom e {}\n"
+        "or c f a\nand b d e\nnot c g\neq a b\nand a b g\neq c d\n"
+    )
+    assert run_command(["check", str(f), "--hyper-arc"]) == 3
+    assert capsys.readouterr().out == (
+        "hyper-arc consistent: False\n"
+        "unsupported: b = 0 in eq a b\n"
+        "unsupported: b = 0 in and b d e\n"
+        "unsupported: b = 1 in and b d e\n"
+        "unsupported: d = 0 in and b d e\n"
+        "unsupported: d = 1 in and b d e\n"
+        "unsupported: d = 1 in eq c d\n"
+        "unsupported: f = 0 in or c f a\n"
+        "unsupported: g = 0 in not c g\n"
+    )
+
+
 def test_check_limited(tmp_path, capsys):
     f = tmp_path / "p.bcn"
     f.write_text("var x y z\ndom x 1\nand x y z\n")
     assert run_command(["check", str(f), "--limited"]) == 3
     f.write_text("var x y z\ndom x 1\ndom y 0\nand x y z\n")
     assert run_command(["check", str(f), "--limited"]) == 0
+
+
+@pytest.mark.parametrize(
+    "pattern, neighbour",
+    [
+        ("dom x 1\nand x y z", "dom x 1\ndom z 1\nand x y z"),
+        ("dom y 1\nand x y z", "dom y 1\ndom x 0\nand x y z"),
+        ("dom x 0\nor x y z", "dom x 0\ndom y 1\nor x y z"),
+        ("dom y 0\nor x y z", "dom y 0\ndom z {}\nor x y z"),
+    ],
+)
+def test_check_limited_fails_exactly_on_the_problematic_patterns(
+    tmp_path, capsys, pattern, neighbour
+):
+    # each neighbour changes one domain of its pattern
+    f = tmp_path / "p.bcn"
+    f.write_text(f"var x y z\n{pattern}\n")
+    assert run_command(["check", str(f), "--limited"]) == 3
+    assert capsys.readouterr().out == "limited: False\n"
+    f.write_text(f"var x y z\n{neighbour}\n")
+    assert run_command(["check", str(f), "--limited"]) == 0
+    assert capsys.readouterr().out == "limited: True\n"
 
 
 def test_check_closed_under(tmp_path, capsys):

@@ -51,7 +51,7 @@ from boolprop.rules import (
     rule,
 )
 from reference import first_relevant, reference_close
-from strategies import csps
+from strategies import csps, every_single_constraint_csp
 
 _K = ConstraintKind
 # Not a sound system: its replacement can be relevant only through the
@@ -106,15 +106,6 @@ def test_closed_under_means_no_relevant_application(csp, system):
     assert closed_under(csp, system) == (first_relevant(csp, system) is None)
 
 
-def _single_constraint_csps_with_empty_domains():
-    """16 + 16 + 64 + 64 CSPs: every domain state of one constraint."""
-    for kind in ConstraintKind:
-        vars = variables("x y" if kind.arity == 2 else "x y z")
-        c = BoolConstraint(kind, vars)
-        for doms in itertools.product((EMPTY, ZERO, ONE, FULL), repeat=kind.arity):
-            yield bcsp(vars, dict(zip(vars, doms)), [c])
-
-
 def _csps_with_a_replacement_present(system):
     """Every domain state of each constraint a rule of the system
     replaces, with that replacement already present: firing the rule
@@ -135,7 +126,7 @@ def _domain_code(csp, c):
 
 
 def test_solved_table_agrees_with_is_solved_on_every_domain_state():
-    instances = list(_single_constraint_csps_with_empty_domains())
+    instances = list(every_single_constraint_csp())
     assert sorted(len(solved) for solved in _SOLVED.values()) == [16, 16, 64, 64]
     for csp in instances:
         (c,) = csp.constraints
@@ -153,7 +144,7 @@ def test_a_rule_drops_its_constraint_when_replaced_or_pinned_solved(system):
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
 def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
-    instances = list(_single_constraint_csps_with_empty_domains())
+    instances = list(every_single_constraint_csp())
     assert len(instances) == 160
     present = list(_csps_with_a_replacement_present(system))
     assert len(present) == {"BOOL": 0, "BOOL_PRIME": 256, "ADDS_ONLY": 64}[system.name]

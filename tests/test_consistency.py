@@ -1,9 +1,20 @@
+"""Hyper-arc consistency, limitedness and the theorem sweeps.
+
+``hyper_arc_witnesses`` and ``is_limited`` read per-code tables.  They
+must agree with ``reference.reference_hyper_arc_witnesses`` and
+``reference_is_limited``, which enumerate restricted relations and
+compare domains with the four patterns, and must never build a
+restricted relation themselves.
+"""
+
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from boolprop.cli import run_command
 from boolprop.consistency import (
+    describe_csp,
     hyper_arc_witnesses,
     is_limited,
     problematic_csps,
@@ -25,7 +36,8 @@ from boolprop.model import (
     variables,
 )
 from boolprop.rules import BOOL, BOOL_PRIME, closed_under
-from strategies import csps
+from reference import reference_hyper_arc_witnesses, reference_is_limited
+from strategies import csps, every_single_constraint_csp
 
 X, Y, Z = variables("x y z")
 
@@ -85,6 +97,19 @@ def test_rule_necessity():
     assert verify_rule_necessity().ok
 
 
+def test_rule_necessity_keeps_every_closed_inconsistent_instance_in_sweep_order():
+    # the sweep asks the reduced sets only about the inconsistent instances
+    instances = list(single_constraint_csps())
+    by_rule = rule_necessity_counterexamples()
+    for r in BOOL.rules:
+        reduced = BOOL.without(r.name)
+        assert by_rule[r.name] == [
+            csp
+            for csp in instances
+            if closed_under(csp, reduced) and reference_hyper_arc_witnesses(csp)
+        ], r.name
+
+
 def test_bool_prime_sweep():
     report = verify_bool_prime(budget=300, seed=3)
     assert report.ok, report.summary()
@@ -131,3 +156,55 @@ def test_empty_domain_starves_constraint_neighbours(csp):
         if any(not d for d in doms) and any(d for d in doms):
             assert hyper_arc_witnesses(csp)
             return
+
+
+def _assert_tables_match_the_reference(instances):
+    for csp in instances:
+        assert hyper_arc_witnesses(csp) == reference_hyper_arc_witnesses(csp), describe_csp(csp)
+        assert is_limited(csp) == reference_is_limited(csp), describe_csp(csp)
+
+
+def test_tables_match_the_reference_on_every_domain_state():
+    instances = list(every_single_constraint_csp())
+    assert len(instances) == 160
+    _assert_tables_match_the_reference(instances)
+    # exactly the four problematic patterns are not limited
+    assert sorted(describe_csp(csp) for csp in instances if not is_limited(csp)) == sorted(
+        describe_csp(csp) for csp in problematic_csps()
+    )
+
+
+def test_tables_match_the_reference_on_seeded_random_csps():
+    rng = random.Random(17)
+    instances = [random_csp(rng, allow_empty_domains=True) for _ in range(2000)]
+    _assert_tables_match_the_reference(instances)
+    # failed, inconsistent with several witnesses, and non-limited instances all occur
+    assert sum(is_failed(csp) for csp in instances) > 100
+    assert sum(len(hyper_arc_witnesses(csp)) > 2 for csp in instances) > 100
+    assert sum(not is_limited(csp) for csp in instances) > 20
+
+
+def test_witnesses_and_limitedness_build_no_restricted_relation(tmp_path, monkeypatch, capsys):
+    instances = list(every_single_constraint_csp())
+    expected = [(reference_hyper_arc_witnesses(csp), reference_is_limited(csp)) for csp in instances]
+    f = tmp_path / "mixed.bcn"
+    f.write_text("var a b c d e\ndom a 1\ndom e {}\nand a b c\nor c d e\nnot a d\n")
+    commands = [
+        ["check", str(f), "--hyper-arc"],
+        ["check", str(f), "--limited"],
+        ["verify", "--theorem", "characterization", "--budget", "20"],
+    ]
+    outputs = []
+    for argv in commands:
+        outputs.append((run_command(argv), capsys.readouterr()))
+
+    def oracle(*args):
+        raise AssertionError("restricted_relation called")
+
+    monkeypatch.setattr("boolprop.model.restricted_relation", oracle)
+    assert [(hyper_arc_witnesses(csp), is_limited(csp)) for csp in instances] == expected
+    for argv, before in zip(commands, outputs):
+        assert (run_command(argv), capsys.readouterr()) == before, argv
+    # witnesses are listed, the AND is a problematic pattern, and the sweep passes
+    assert [code for code, _ in outputs] == [3, 3, 0]
+    assert "unsupported: d = 0 in or c d e" in outputs[0][1].out
