@@ -38,14 +38,12 @@ from boolprop.model import (
 )
 from boolprop.reports import SweepReport
 from boolprop.rules import (
-    _MASK,
-    _ROLES,
     _UNSUPPORTED,
     BOOL,
     BOOL_PRIME,
-    _code,
     close,
     closed_under,
+    domain_code,
 )
 
 Witness = tuple[BoolConstraint, Variable, int]
@@ -56,8 +54,7 @@ def hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
     canonical constraint order, then role order, then ascending value."""
     domains, found = csp.domains, []
     for c in csp.constraints:
-        code = _code([_MASK[domains[v]] for v in c.vars], _ROLES[len(c.vars)])
-        if pairs := _UNSUPPORTED[c.kind][code]:
+        if pairs := _UNSUPPORTED[c.kind][domain_code(c, domains)]:
             found.append((c, pairs))
     found.sort(key=lambda f: constraint_sort_key(f[0]))
     return tuple([(c, c.vars[p], value) for c, pairs in found for p, value in pairs])
@@ -71,25 +68,6 @@ _PROBLEM_PATTERNS: tuple[tuple[ConstraintKind, tuple[frozenset, ...]], ...] = (
     (ConstraintKind.OR, (ZERO, FULL, FULL)),
     (ConstraintKind.OR, (FULL, ZERO, FULL)),
 )
-# The same patterns as domain codes, by kind, which ``is_limited`` reads.
-_PROBLEM_CODES = {
-    kind: frozenset(
-        _code([_MASK[d] for d in pattern], _ROLES[len(pattern)])
-        for k, pattern in _PROBLEM_PATTERNS
-        if k is kind
-    )
-    for kind in ConstraintKind
-}
-
-
-def is_limited(csp: BooleanCSP) -> bool:
-    """True when none of the four problematic patterns occurs in the CSP."""
-    domains = csp.domains
-    for c in csp.constraints:
-        codes = _PROBLEM_CODES[c.kind]
-        if codes and _code([_MASK[domains[v]] for v in c.vars], _ROLES[len(c.vars)]) in codes:
-            return False
-    return True
 
 
 def problematic_csps() -> tuple[BooleanCSP, ...]:
@@ -100,6 +78,28 @@ def problematic_csps() -> tuple[BooleanCSP, ...]:
         c = BoolConstraint(kind, (x, y, z))
         out.append(bcsp((x, y, z), dict(zip((x, y, z), pattern)), [c]))
     return tuple(out)
+
+
+# The same patterns as domain codes, by kind, which ``is_limited`` reads.
+_PROBLEM_CODES = {
+    kind: frozenset(
+        domain_code(c, csp.domains)
+        for csp in problematic_csps()
+        for c in csp.constraints
+        if c.kind is kind
+    )
+    for kind in ConstraintKind
+}
+
+
+def is_limited(csp: BooleanCSP) -> bool:
+    """True when none of the four problematic patterns occurs in the CSP."""
+    domains = csp.domains
+    for c in csp.constraints:
+        codes = _PROBLEM_CODES[c.kind]
+        if codes and domain_code(c, domains) in codes:
+            return False
+    return True
 
 
 def describe_csp(csp: BooleanCSP) -> str:

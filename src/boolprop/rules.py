@@ -14,9 +14,10 @@ Whether a constraint is solved depends only on its kind and its own
 domains, so ``_SOLVED`` tabulates it once per kind and domain code.
 That one table decides a rule's ``drops`` and, through it, whether a
 step is relevant.  Each rule set compiles its rules once into a table
-of the rules whose step is relevant at each kind and domain code, so
-``close`` and ``closed_under`` look their candidates up instead of
-testing every rule of a constraint's kind.  The pass over each kind's
+of the rules whose step is relevant at each kind and domain code,
+replacement rules included, so ``close`` and ``closed_under`` look their
+candidates up instead of testing every rule of a constraint's kind, and
+ask nothing else about relevance.  The pass over each kind's
 tuples that builds ``_SOLVED`` also builds ``_UNSUPPORTED``, the values
 that no tuple supports, from which ``consistency`` reads hyper-arc
 consistency without asking the rules.
@@ -127,8 +128,8 @@ def rule(
 
 
 class _Entry(NamedTuple):
-    """A rule in its set's table at one domain code of its kind: its
-    step is relevant there, or, for a replacement rule, it applies."""
+    """A rule in its set's table at one domain code of its kind, where
+    its step is relevant."""
 
     rule: PropagationRule
     moves: tuple[tuple[int, int], ...]  # (role, mask after), for each mask it shrinks
@@ -145,13 +146,16 @@ class RuleSet:
         entries of the rules whose step is relevant there, by rule index.
 
         A rule applies at a code when each premise role holds its
-        singleton.  A rule without replacements is listed where its step
-        shrinks a mask, or drops the constraint while ``_SOLVED`` marks
-        it unsolved; that decides its relevance, since nothing else
-        differs between the CSP and its successor.  A replacement rule
-        is listed wherever it applies, since whether its step is
-        relevant can also depend on which replacements are present
-        (``_relevant_change``).
+        singleton.  Only the domains of the matched constraint's
+        variables, that constraint and its replacements differ between
+        the CSP and its successor, so a step is relevant exactly when it
+        shrinks a mask, drops the constraint while ``_SOLVED`` marks it
+        unsolved, or adds an unsolved replacement.  A rule is listed
+        where one of the first two holds.  Where neither does, a
+        replacement unsolved at its own positions would make relevance
+        depend on whether that replacement is already present, so such
+        a rule raises ValueError.  BOOL' has none: each of its
+        replacements is solved wherever the constraint it replaces is.
 
         Built on first use and kept on this instance, so that a reduced
         set from ``without`` is freed together with its table.
@@ -163,13 +167,19 @@ class RuleSet:
             for code, entries in enumerate(table[r.kind]):
                 if code & premise_mask != premise_code:
                     continue
+                masks = [code >> 2 * p & 3 for p in range(r.kind.arity)]
                 moves = tuple(
-                    (p, code >> 2 * p & 1 << v)
+                    (p, masks[p] & 1 << v)
                     for p, v in r.conclusion_assignments
-                    if code >> 2 * p & 2 >> v
+                    if masks[p] & 2 >> v
                 )
-                if r.patterns or moves or (r.drops and not _SOLVED[r.kind][code]):
+                if moves or (r.drops and not _SOLVED[r.kind][code]):
                     entries[index] = _Entry(r, moves)
+                elif not all(_SOLVED[kind][_code(masks, ps)] for kind, ps in r.patterns):
+                    raise ValueError(
+                        f"{r.name}: relevance at domain code {code} depends on "
+                        "whether its replacement is present"
+                    )
         return {kind: tuple(entries) for kind, entries in table.items()}
 
     def by_name(self, rule_name: str) -> PropagationRule:
@@ -368,6 +378,12 @@ def _code(masks: list[int], scope: tuple[int, ...]) -> int:
     return code | masks[scope[2]] << 4 if len(scope) == 3 else code
 
 
+def domain_code(c: BoolConstraint, domains: Mapping[Variable, Domain]) -> int:
+    """``c``'s domain code under ``domains``, with its positions as its roles."""
+    masks = [_MASK[domains[v]] for v in c.vars]
+    return _code(masks, _ROLES[len(masks)])
+
+
 def _code_tables() -> tuple[dict, dict]:
     """For each kind and domain code: whether a constraint is solved, and
     the (role, value) pairs no tuple of its restricted relation supports,
@@ -492,55 +508,11 @@ class Closure:
         self.pending = [i for i in self.pending if i < len(alive)]
 
 
-def _relevant_change(
-    e: _Entry,
-    c: BoolConstraint,
-    scope: tuple[int, ...],
-    code: int,
-    has: Callable[[BoolConstraint, tuple[int, ...]], bool],
-) -> list | None:
-    """The (key, constraint, positions) of each replacement that firing
-    the replacement rule of ``e`` on ``c`` adds, on the positions
-    ``scope`` at the domain code ``code``, or None when the step is a
-    reformulation.
-
-    A replacement is added unless ``has`` finds it.  Only the domains of
-    ``c``'s variables, ``c`` itself and the added constraints, which lie
-    on ``c``'s variables, differ between the CSP and its successor.  So
-    the step is relevant exactly when it moves a mask, drops ``c``
-    unsolved or adds a replacement unsolved; ``_SOLVED`` reads each off
-    the constraint's own domain code.
-    """
-    added, relevant = [], bool(e.moves) or not _SOLVED[c.kind][code]
-    for kind, ps in e.rule.patterns:
-        a = BoolConstraint(kind, tuple([c.vars[p] for p in ps]))
-        s = tuple([scope[p] for p in ps])
-        if not has(a, s):
-            added.append((constraint_sort_key(a), a, s))
-            sub = sum((code >> 2 * p & 3) << 2 * j for j, p in enumerate(ps))
-            relevant = relevant or not _SOLVED[kind][sub]
-    return added if relevant else None
-
-
 def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
-    """True iff no rule of the set has a relevant application.
-
-    Constraints are tried in canonical order, so the work done before
-    the first relevant one is found does not depend on hash order.
-    Each constraint's entries are read from the rule set's table at its
-    own domain code, as in ``close``: any entry of a rule without
-    replacements is relevant, and ``_relevant_change`` decides the
-    others, with the constraint's positions taken as its roles.
-    """
+    """True iff no rule of the set has a relevant application: no
+    constraint's domain code has an entry in the rule set's table."""
     table, domains = rs._table, csp.domains
-    has = lambda a, _: a in csp.constraints
-    for c in sorted(csp.constraints, key=constraint_sort_key):
-        roles = _ROLES[len(c.vars)]
-        code = _code([_MASK[domains[v]] for v in c.vars], roles)
-        for e in table[c.kind][code].values():
-            if not e.rule.patterns or _relevant_change(e, c, roles, code, has) is not None:
-                return False
-    return True
+    return not any(table[c.kind][domain_code(c, domains)] for c in csp.constraints)
 
 
 def close(
@@ -558,9 +530,8 @@ def close(
     rule set's table at the constraint's kind and domain code and
     pushes (rule index, constraint key, id) for each entry there.  A
     popped candidate reads its entry again at the current code and
-    fires if the entry is still there; only a replacement rule's entry
-    is handed to ``_relevant_change``, since its relevance can depend on
-    the other constraints.  So no CSP is built and
+    fires if the entry is still there, adding each replacement that
+    ``Closure.has`` does not find.  So no CSP is built and
     ``is_reformulation``, the specification, is not asked.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
@@ -598,20 +569,20 @@ def close(
         if not alive[i]:
             continue
         c, scope = constraints[i], scopes[i]
-        code = _code(masks, scope)
-        e = table[c.kind][code].get(index)
+        e = table[c.kind][_code(masks, scope)].get(index)
         if e is None:
             continue
-        r, added = e.rule, []
-        if r.patterns:
-            added = _relevant_change(e, c, scope, code, state.has)
-            if added is None:
-                continue
         if len(trace) >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
+        r, added = e.rule, []
+        for kind, ps in r.patterns:
+            a = BoolConstraint(kind, tuple([c.vars[p] for p in ps]))
+            s = tuple([scope[p] for p in ps])
+            if not state.has(a, s):
+                added.append((constraint_sort_key(a), a, s))
+        added.sort(key=lambda a: a[0])
         moved = sorted([(scope[p], m) for p, m in e.moves])
         changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in moved])
-        added.sort(key=lambda a: a[0])
         state._apply(moved, i if r.drops else -1, added)
         trace.append(CspStep(r.name, c, changes, r.drops, tuple([a for _, a, _ in added])))
         touched = scope if r.drops else [p for p, _ in moved]

@@ -3,25 +3,26 @@
 ``close`` must pick the same steps as the full rescan in
 ``reference.reference_close`` and reach the same CSP; ``closed_under``
 must agree with "no relevant ``apply_rule_csp`` step"; each rule set's
-table of the rules relevant at a domain code, and the replacement
-rules' relevance test, must agree with ``apply_rule_csp`` on every
-single-constraint CSP, empty domains included, and on every state of a
-replaced constraint whose replacement is already present; the solved
-table must agree with ``is_solved``, and so must each rule's ``drops``,
-read from it; the engine must never ask ``is_reformulation``, and
-``close`` must hand only replacement rules to ``_relevant_change``.
+table of the rules relevant at a domain code, replacement rules
+included, must agree with ``apply_rule_csp`` on every single-constraint
+CSP, empty domains included, and on every state of a replaced
+constraint whose replacement is already present; a rule set whose
+replacement rule's relevance would depend on that presence must be
+refused; the solved table must agree with ``is_solved``, and so must
+each rule's ``drops``, read from it; the engine must never ask
+``is_reformulation``.
 """
 
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import boolprop.rules
 from boolprop.cli import run_command
 from boolprop.consistency import random_csp
 from boolprop.model import (
@@ -33,7 +34,6 @@ from boolprop.model import (
     BooleanCSP,
     ConstraintKind,
     bcsp,
-    constraint_sort_key,
     is_solved,
     variables,
 )
@@ -44,27 +44,17 @@ from boolprop.rules import (
     RuleSet,
     _DOMAIN,
     _SOLVED,
-    _relevant_change,
     apply_rule_csp,
     close,
     closed_under,
+    domain_code,
     rule,
 )
 from reference import first_relevant, reference_close
 from strategies import csps, every_single_constraint_csp
 
 _K = ConstraintKind
-# Not a sound system: its replacement can be relevant only through the
-# constraint it adds, since the AND it drops is already solved, and
-# whether that constraint is already present decides relevance.
-ADDS_ONLY = RuleSet(
-    "ADDS_ONLY",
-    (
-        rule("AND 4*", _K.AND, {0: 0}, {2: 0}, [(_K.EQ, (1, 2))]),
-        rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
-    ),
-)
-SYSTEMS = (BOOL, BOOL_PRIME, ADDS_ONLY)
+SYSTEMS = (BOOL, BOOL_PRIME)
 
 
 def _assert_same_closure(csp, system):
@@ -130,6 +120,7 @@ def test_solved_table_agrees_with_is_solved_on_every_domain_state():
     assert sorted(len(solved) for solved in _SOLVED.values()) == [16, 16, 64, 64]
     for csp in instances:
         (c,) = csp.constraints
+        assert domain_code(c, csp.domains) == _domain_code(csp, c)
         assert _SOLVED[c.kind][_domain_code(csp, c)] == is_solved(c, csp), csp
 
 
@@ -147,7 +138,7 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
     instances = list(every_single_constraint_csp())
     assert len(instances) == 160
     present = list(_csps_with_a_replacement_present(system))
-    assert len(present) == {"BOOL": 0, "BOOL_PRIME": 256, "ADDS_ONLY": 64}[system.name]
+    assert len(present) == {"BOOL": 0, "BOOL_PRIME": 256}[system.name]
     table = system._table
     assert {kind: len(codes) for kind, codes in table.items()} == {
         kind: 4**kind.arity for kind in ConstraintKind
@@ -167,38 +158,59 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
             if c.kind != r.kind:
                 assert not applications
                 continue
-            code = _domain_code(csp, c)
-            e = table[c.kind][code].get(index)
-            if not r.patterns:
-                # listed exactly where the step is relevant
-                assert (e is not None) == any(a.relevant for a in applications), (r.name, csp)
-                if e is None:
-                    continue
-                added = []
-            else:
-                # listed wherever the rule applies; the rest is decided
-                # against the other constraints
-                assert (e is not None) == bool(applications), (r.name, csp)
-                if e is None:
-                    continue
-                added = _relevant_change(e, c, state.scopes[i], code, state.has)
-                assert (added is not None) == applications[0].relevant, (r.name, csp)
-                if added is None:
-                    continue
+            e = table[c.kind][_domain_code(csp, c)].get(index)
+            # listed exactly where the step is relevant, whatever else is present
+            assert (e is not None) == any(a.relevant for a in applications), (r.name, csp)
+            if e is None:
+                continue
             (application,) = applications
             # the moves are that application's domain changes
             moved = {c.vars[p]: _DOMAIN[m] for p, m in e.moves}
             assert moved == {
                 v: d for v, d in application.after.domains.items() if d != csp.domains[v]
             }, (r.name, csp)
-            # each replacement not yet present, once
-            assert sorted([a for _, a, _ in added], key=constraint_sort_key) == sorted(
-                application.after.constraints - csp.constraints, key=constraint_sort_key
-            ), (r.name, csp)
-            constraints = set(csp.constraints) | {a for _, a, _ in added}
+            # each replacement that Closure.has does not find is the one added
+            scope = state.scopes[i]
+            added = []
+            for kind, ps in r.patterns:
+                a = BoolConstraint(kind, tuple(c.vars[p] for p in ps))
+                if not state.has(a, tuple(scope[p] for p in ps)):
+                    added.append(a)
+            assert set(added) == application.after.constraints - csp.constraints, (r.name, csp)
+            constraints = set(csp.constraints) | set(added)
             if r.drops:
                 constraints.discard(c)
             assert constraints == application.after.constraints, (r.name, csp)
+
+
+# Not sound: the AND it drops is already solved where z is 0, so the
+# step is relevant there only if y = z is absent.
+ADDS_ONLY = RuleSet(
+    "ADDS_ONLY",
+    (
+        rule("AND 4*", _K.AND, {0: 0}, {2: 0}, [(_K.EQ, (1, 2))]),
+        rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
+    ),
+)
+# Not sound: replaces x /\ y = z by x = y when x = 1, forgetting z, so
+# at x = 1, y = z = 0 it would add an unsolved x = y to a solved AND.
+UNSOUND = RuleSet(
+    "UNSOUND",
+    (
+        rule("AND x", _K.AND, {0: 1}, {}, [(_K.EQ, (0, 1))]),
+        rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
+    ),
+)
+
+
+def test_a_replacement_rule_whose_relevance_depends_on_presence_is_refused():
+    for system, name in [(ADDS_ONLY, "AND 4*"), (UNSOUND, "AND x")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: .*replacement is present"):
+            system._table
+    reductions = [rs.without(r.name) for rs in (BOOL, BOOL_PRIME) for r in rs.rules]
+    assert len(reductions) == 40
+    for system in (BOOL, BOOL_PRIME, *reductions):
+        assert len(system._table) == len(ConstraintKind), system.name
 
 
 def _seeded_circuit(seed, inputs=6, gates=30):
@@ -242,43 +254,6 @@ def test_the_engine_never_asks_is_reformulation(tmp_path, monkeypatch, capsys):
     # both searches split, BOOL' adds replacements, and the closure checks as closed
     assert [code for code, _ in outputs] == [0] * 6
     assert "splits: 0" not in outputs[2][1].out and "added eq" in outputs[3][1].out
-
-
-def _seeded_3cnf(seed, n=12, m=52):
-    """A DIMACS random 3-CNF near the satisfiability threshold."""
-    rng = random.Random(seed)
-    lines = [f"p cnf {n} {m}\n"]
-    for _ in range(m):
-        lits = [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-        lines.append(" ".join(map(str, lits)) + " 0\n")
-    return "".join(lines)
-
-
-@pytest.mark.parametrize("system", ["bool", "bool-prime"])
-def test_close_asks_relevance_only_of_replacement_rules(tmp_path, monkeypatch, capsys, system):
-    # every other rule's relevance is settled by the rule set's table
-    asked = []
-    inner = boolprop.rules._relevant_change
-
-    def counted(e, *args):
-        asked.append(e.rule)
-        return inner(e, *args)
-
-    monkeypatch.setattr("boolprop.rules._relevant_change", counted)
-    outputs = []
-    for seed in range(4):
-        for name, text in [("circuit.bcn", _seeded_circuit(seed)), ("cnf.cnf", _seeded_3cnf(seed))]:
-            path = tmp_path / f"{seed}{name}"
-            path.write_text(text)
-            code = run_command(["solve", str(path), "--system", system])
-            outputs.append((code, capsys.readouterr().out))
-    # the searches split, and both answers occur
-    assert {code for code, _ in outputs} == {0, 3}
-    assert sum("splits: 0" not in out for _, out in outputs) >= 4
-    if system == "bool":
-        assert asked == []
-    else:
-        assert asked and all(r.patterns for r in asked)
 
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
@@ -346,14 +321,24 @@ def test_undo_pops_the_ids_a_replacement_added():
 
 
 def test_a_dropped_constraint_is_added_again_under_a_new_id():
+    # Not sound, but its table is built: "AND 1*" moves z wherever it
+    # applies to a solved AND with y = z unsolved, so it is listed there.
+    # A sound replacement rule never adds a dropped, hence solved, equality.
+    readds = RuleSet(
+        "READDS",
+        (
+            rule("AND 1*", _K.AND, {0: 1}, {2: 1}, [(_K.EQ, (1, 2))]),
+            rule("EQU 3", _K.EQ, {0: 0}, {1: 0}),
+        ),
+    )
     w, y, z = variables("w y z")
     eq = BoolConstraint(_K.EQ, (y, z))
-    state = Closure(bcsp((w, y, z), {y: 1}, [eq, BoolConstraint(_K.AND, (w, y, z))]))
-    (step,) = close(state, ADDS_ONLY)[1]
-    assert (step.rule, step.dropped) == ("EQU 1", True) and eq not in _alive(state)
-    state.restrict(w, ZERO)
-    (step,) = close(state, ADDS_ONLY)[1]
-    assert (step.rule, step.added) == ("AND 4*", (eq,)) and eq in _alive(state)
+    state = Closure(bcsp((w, y, z), {y: 0}, [eq, BoolConstraint(_K.AND, (w, y, z))]))
+    (step,) = close(state, readds)[1]
+    assert (step.rule, step.dropped) == ("EQU 3", True) and eq not in _alive(state)
+    state.restrict(w, ONE)
+    (step,) = close(state, readds)[1]
+    assert (step.rule, step.added) == ("AND 1*", (eq,)) and eq in _alive(state)
     assert len(state.constraints) == 3
 
 

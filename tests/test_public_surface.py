@@ -4,7 +4,8 @@ name it defines is used.
 No other test imports ``from boolprop import *`` or starts the scripts,
 so a stale name in ``__all__`` or a script importing a removed function
 would otherwise break them unnoticed.  Likewise nothing else notices a
-module-level function, class or constant that nothing refers to.
+module-level function, class or constant that nothing refers to, or an
+import that a deletion left unused.
 """
 
 import ast
@@ -57,3 +58,28 @@ def test_every_top_level_name_in_src_is_referenced():
         if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
     ]
     assert unreferenced == []
+
+
+def _unused_imports(tree: ast.Module):
+    """The names a module imports and never reads, ``__all__`` counting as
+    a read of each name it lists."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+def test_no_module_in_src_imports_a_name_it_never_uses():
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "boolprop").glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert unused == []

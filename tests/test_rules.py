@@ -1,14 +1,9 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import boolprop
 from boolprop.model import (
     EMPTY,
     FULL,
@@ -161,39 +156,6 @@ def test_closed_under_examples():
 
     failed = bcsp((X, Y, Z), {X: EMPTY}, [andc(X, Y, Z)])
     assert closed_under(failed, BOOL)
-
-
-# counts the relevance checks one `verify --theorem bool-prime` makes;
-# only replacement rules are checked since the rule sets' tables settle
-# the others, so the count fell from 972 to 172 with them
-_COUNT_RELEVANCE_CHECKS = """
-import contextlib, io
-import boolprop.cli, boolprop.rules
-calls = 0
-inner = boolprop.rules._relevant_change
-def counted(*args):
-    global calls
-    calls += 1
-    return inner(*args)
-boolprop.rules._relevant_change = counted
-with contextlib.redirect_stdout(io.StringIO()):
-    boolprop.cli.run_command(["verify", "--theorem", "bool-prime"])
-print(calls)
-"""
-
-
-def test_closed_under_work_does_not_depend_on_the_hash_seed():
-    src = str(Path(boolprop.__file__).parents[1])
-    counts = []
-    for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", _COUNT_RELEVANCE_CHECKS],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        counts.append(int(done.stdout))
-    assert counts[0] > 0
-    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------

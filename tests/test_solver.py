@@ -130,16 +130,9 @@ def test_free_variables_search_one_branch_without_conflicts():
 
 
 def test_model_is_checked_against_the_input():
-    # Unsound: replaces x /\ y = z by x = y when x = 1, forgetting z.
-    # Closure then drops every constraint and leaves x = y = 1, z = 0.
-    k = ConstraintKind
-    unsound = RuleSet(
-        "UNSOUND",
-        (
-            rule("AND x", k.AND, {0: 1}, {}, [(k.EQ, (0, 1))]),
-            rule("EQU 1", k.EQ, {0: 1}, {1: 1}),
-        ),
-    )
-    csp = bcsp((X, Y, Z), {X: 1, Z: 0}, [andc(X, Y, Z)])
-    with pytest.raises(RuntimeError, match="non-model: and x y z violated"):
+    # Unsound: concludes y = 0 from x = 1 on x = y, and keeps the
+    # equality, which it leaves violated.
+    unsound = RuleSet("UNSOUND", (rule("EQU x", ConstraintKind.EQ, {0: 1}, {1: 0}),))
+    csp = bcsp((X, Y), {X: 1}, [eqc(X, Y)])
+    with pytest.raises(RuntimeError, match="non-model: eq x y violated"):
         solve(csp, unsound)
