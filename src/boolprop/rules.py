@@ -432,9 +432,10 @@ class Closure:
     ``constraints``, ``scopes`` (positions), ``keys`` (sort keys) and
     ``alive``; per position, ``occurs`` lists its ids, dropped ones too.
     ``pending`` holds the ids the next ``close`` must scan.  A trail
-    entry holds a step's (position, mask before) pairs, the id it
-    dropped or -1, and how many ids it added: the last ones, which
-    ``undo`` pops again, so a search state does not grow.
+    entry is a whole step: the rule's name (None for a ``restrict``),
+    the matched id, (position, mask before, mask after) triples, whether
+    the id was dropped and how many ids were added; those are the last
+    ids, which ``undo`` pops again.  ``steps`` renders entries for a trace.
     """
 
     def __init__(self, csp: BooleanCSP) -> None:
@@ -467,20 +468,19 @@ class Closure:
 
     def restrict(self, v: Variable, d: Domain) -> None:
         """Meet ``v``'s domain with ``d``; the next ``close`` scans its constraints."""
-        p = self.position[v]
-        self._apply([(p, self.masks[p] & _MASK[d])], -1, [])
+        p, masks = self.position[v], self.masks
+        self._apply(None, -1, [(p, masks[p], masks[p] & _MASK[d])], False, [])
         self.pending.extend(self.occurs[p])
 
-    def _apply(self, moved: list, dropped: int, added: list) -> None:
-        """Set each (position, mask), drop id ``dropped`` unless it is -1
-        and give each (key, constraint, scope) of ``added`` a new id, as
-        one trail entry."""
+    def _apply(self, name: str | None, i: int, moved: list, dropped: bool, added: list) -> None:
+        """Set each (position, mask before, mask after) to its mask after,
+        drop id ``i`` if ``dropped`` and give each (key, constraint,
+        scope) of ``added`` a new id, as one trail entry."""
         masks, occurs = self.masks, self.occurs
-        before = [(p, masks[p]) for p, _ in moved]
-        for p, mask in moved:
+        for p, _, mask in moved:
             masks[p] = mask
-        if dropped >= 0:
-            self.alive[dropped] = False
+        if dropped:
+            self.alive[i] = False
         for key, a, scope in added:
             for p in scope:
                 occurs[p].append(len(self.constraints))
@@ -488,17 +488,28 @@ class Closure:
             self.scopes.append(scope)
             self.keys.append(key)
             self.alive.append(True)
-        self.trail.append((before, dropped, len(added)))
+        self.trail.append((name, i, moved, dropped, len(added)))
+
+    def steps(self, entries: list[tuple]) -> list[CspStep]:
+        """``entries``, the trail's last ones as ``close`` returns them, as ``CspStep``s."""
+        constraints, steps = self.constraints, []
+        first = len(constraints) - sum(e[4] for e in entries)
+        for name, i, moved, dropped, added in entries:
+            changes = tuple([(self.vars[p], _DOMAIN[b], _DOMAIN[a]) for p, b, a in moved])
+            new = tuple(constraints[first : first + added])
+            steps.append(CspStep(name, constraints[i], changes, dropped, new))
+            first += added
+        return steps
 
     def undo(self, mark: int) -> None:
         """Take back every change after the first ``mark`` trail entries."""
         masks, alive, occurs, trail = self.masks, self.alive, self.occurs, self.trail
         while len(trail) > mark:
-            moved, dropped, added = trail.pop()
-            for p, before in moved:
+            _, i, moved, dropped, added = trail.pop()
+            for p, before, _ in moved:
                 masks[p] = before
-            if dropped >= 0:
-                alive[dropped] = True
+            if dropped:
+                alive[i] = True
             for _ in range(added):
                 for p in self.scopes.pop():
                     occurs[p].pop()
@@ -517,7 +528,7 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
 def close(
     csp: BooleanCSP | Closure, rs: RuleSet, max_steps: int | None = None
-) -> tuple[BooleanCSP | Closure, list[CspStep]]:
+) -> tuple[BooleanCSP, list[CspStep]] | tuple[Closure, list[tuple]]:
     """Perform relevant applications until the CSP is closed.
 
     The schedule is deterministic: lowest rule index first, then
@@ -540,16 +551,18 @@ def close(
     application, and its least one that is still relevant is the one
     the schedule picks.
 
-    Given a ``Closure``, ``close`` scans only its pending constraints,
-    records each step on its trail and returns it, closed in place.
+    Given a ``Closure``, ``close`` scans only its pending constraints
+    and returns it, closed in place, with its steps' trail entries.
     When the state was closed before its pending constraints' variables
     changed, every relevant application lies on those constraints, so
     the steps are the ones a fresh closure of the same CSP would take.
+    Given a ``BooleanCSP``, it returns the closed CSP, read off the
+    state, and the steps as ``Closure.steps`` renders them.
     """
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
         max_steps = 2 * len(state.vars) + sum(state.alive)
-    table, vars, masks = rs._table, state.vars, state.masks
+    table, masks = rs._table, state.masks
     constraints, scopes, keys, alive, occurs = (
         state.constraints, state.scopes, state.keys, state.alive, state.occurs
     )
@@ -563,7 +576,7 @@ def close(
         if alive[i]:
             scan(i)
     state.pending.clear()
-    trace: list[CspStep] = []
+    trail, start = state.trail, len(state.trail)
     while heap:
         index, _, i = heapq.heappop(heap)
         if not alive[i]:
@@ -572,7 +585,7 @@ def close(
         e = table[c.kind][_code(masks, scope)].get(index)
         if e is None:
             continue
-        if len(trace) >= max_steps:
+        if len(trail) - start >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
         r, added = e.rule, []
         for kind, ps in r.patterns:
@@ -581,19 +594,15 @@ def close(
             if not state.has(a, s):
                 added.append((constraint_sort_key(a), a, s))
         added.sort(key=lambda a: a[0])
-        moved = sorted([(scope[p], m) for p, m in e.moves])
-        changes = tuple([(vars[p], _DOMAIN[masks[p]], _DOMAIN[m]) for p, m in moved])
-        state._apply(moved, i if r.drops else -1, added)
-        trace.append(CspStep(r.name, c, changes, r.drops, tuple([a for _, a, _ in added])))
-        touched = scope if r.drops else [p for p, _ in moved]
+        moved = sorted([(scope[p], masks[scope[p]], m) for p, m in e.moves])
+        state._apply(r.name, i, moved, r.drops, added)
+        touched = scope if r.drops else [p for p, _, _ in moved]
         for j in {j for p in touched for j in occurs[p] if alive[j]}:
             scan(j)
-    if state is csp or not trace:
-        return csp, trace
-    domains = csp.domains | {v: d for step in trace for v, _, d in step.domain_changes}
-    kept = csp.constraints.difference([s.matched_constraint for s in trace if s.dropped])
-    added = [constraints[i] for i in range(len(csp.constraints), len(constraints)) if alive[i]]
-    return BooleanCSP._of_valid_parts(csp.vars, domains, kept.union(added)), trace
+    if state is csp:
+        return state, trail[start:]
+    kept = frozenset([c for c, a in zip(constraints, alive) if a])
+    return BooleanCSP._of_valid_parts(csp.vars, state.domains, kept), state.steps(trail)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Splitting is depth-first in declaration order, trying 1 before 0, over
 an explicit stack, so search depth is not bounded by the Python stack.
 The search keeps one ``Closure`` for all its branches: a branch
 restricts its split variable, propagates from that variable's
-constraints only, and is undone through the trail on backtrack.  A
-closed non-failed CSP with all domains singleton is a solution (closure
-makes every constraint supported at every domain value), so search
-stops there; the model is re-checked against the input CSP's domains
-and constraints as a guard against engine bugs.
+constraints only, reads its step count and failure off the trail
+entries ``close`` returns, and is undone through the trail on
+backtrack.  A closed non-failed CSP with all domains singleton is a
+solution (closure makes every constraint supported at every domain
+value), so search stops there; the model is re-checked against the
+input CSP's domains and constraints as a guard against engine bugs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from boolprop.model import (
     Domain,
     truth_table,
 )
-from boolprop.rules import BOOL, Closure, CspStep, RuleSet, close
+from boolprop.rules import BOOL, Closure, RuleSet, close
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -59,12 +60,12 @@ def _model_of(csp: BooleanCSP, masks: Sequence[int]) -> Assignment:
 def solve(
     csp: BooleanCSP,
     system: RuleSet = BOOL,
-    trace: list[CspStep] | None = None,
+    trace: list | None = None,
 ) -> SolveResult:
     """Alternate closure under the rule system with splitting.
 
     ``trace`` (optional) collects every propagation step performed, over
-    all branches, in execution order.
+    all branches, in execution order, as ``CspStep``s.
     """
     state = Closure(csp)
     masks, vars = state.masks, csp.vars
@@ -84,11 +85,11 @@ def solve(
         propagations += len(steps)
         max_depth = max(max_depth, depth)
         if trace is not None:
-            trace.extend(steps)
+            trace.extend(state.steps(steps))
         if index < 0:
             failed = 0 in masks
         else:  # from a closed, non-failed parent: only its steps can fail it
-            failed = any(not d for step in steps for _, _, d in step.domain_changes)
+            failed = any(not after for _, _, moved, _, _ in steps for _, _, after in moved)
         if failed:
             conflicts += 1
             continue

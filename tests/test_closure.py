@@ -10,7 +10,7 @@ constraint whose replacement is already present; a rule set whose
 replacement rule's relevance would depend on that presence must be
 refused; the solved table must agree with ``is_solved``, and so must
 each rule's ``drops``, read from it; the engine must never ask
-``is_reformulation``.
+``is_reformulation``, and an untraced search must build no ``CspStep``.
 """
 
 import gc
@@ -256,6 +256,44 @@ def test_the_engine_never_asks_is_reformulation(tmp_path, monkeypatch, capsys):
     assert "splits: 0" not in outputs[2][1].out and "added eq" in outputs[3][1].out
 
 
+def _seeded_3cnf(seed, n=10, m=43):
+    """A DIMACS random 3-CNF near the threshold, so seeds give SAT and UNSAT."""
+    rng = random.Random(seed)
+    clauses = [
+        " ".join(str(rng.choice((1, -1)) * v) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    ]
+    return f"p cnf {n} {m}\n" + "".join(f"{c} 0\n" for c in clauses)
+
+
+def test_an_untraced_solve_builds_no_csp_step(tmp_path, monkeypatch, capsys):
+    files = []
+    for seed in range(4):
+        files += [tmp_path / f"circuit{seed}.bcn", tmp_path / f"random{seed}.cnf"]
+        files[-2].write_text(_seeded_circuit(seed))
+        files[-1].write_text(_seeded_3cnf(seed))
+    commands = [
+        ["solve", str(path), "--system", system]
+        for path in files
+        for system in ("bool", "bool-prime")
+    ]
+    outputs = []
+    for argv in commands:
+        outputs.append((run_command(argv), capsys.readouterr()))
+
+    def step(*args):
+        raise AssertionError("CspStep built")
+
+    monkeypatch.setattr("boolprop.rules.CspStep", step)
+    for argv, expected in zip(commands, outputs):
+        assert (run_command(argv), capsys.readouterr()) == expected, argv
+    # the searches split and end both ways, and a traced one renders steps
+    assert {code for code, _ in outputs} == {0, 3}
+    assert any("splits: 0" not in out.out for _, out in outputs)
+    with pytest.raises(AssertionError, match="CspStep built"):
+        run_command([*commands[0], "--trace"])
+
+
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
 def test_close_raises_on_the_step_past_any_cap(max_steps):
     x, y, z = variables("x y z")
@@ -311,7 +349,7 @@ def test_undo_pops_the_ids_a_replacement_added():
     state = Closure(bcsp((x, y, z), {}, [BoolConstraint(_K.AND, (x, y, z))]))
     for _ in range(3):
         state.restrict(x, ONE)
-        (step,) = close(state, BOOL_PRIME)[1]
+        (step,) = state.steps(close(state, BOOL_PRIME)[1])
         assert step.rule == "AND 1'" and BoolConstraint(_K.EQ, (y, z)) in _alive(state)
         state.restrict(y, ONE)  # queues the popped id of eq y z too
         state.undo(0)
@@ -334,10 +372,10 @@ def test_a_dropped_constraint_is_added_again_under_a_new_id():
     w, y, z = variables("w y z")
     eq = BoolConstraint(_K.EQ, (y, z))
     state = Closure(bcsp((w, y, z), {y: 0}, [eq, BoolConstraint(_K.AND, (w, y, z))]))
-    (step,) = close(state, readds)[1]
+    (step,) = state.steps(close(state, readds)[1])
     assert (step.rule, step.dropped) == ("EQU 3", True) and eq not in _alive(state)
     state.restrict(w, ONE)
-    (step,) = close(state, readds)[1]
+    (step,) = state.steps(close(state, readds)[1])
     assert (step.rule, step.added) == ("AND 1*", (eq,)) and eq in _alive(state)
     assert len(state.constraints) == 3
 
