@@ -29,7 +29,6 @@ from boolprop.model import (
     Literal,
     Variable,
     eqc,
-    is_failed,
     literal_sort_key,
     neg,
     notc,
@@ -43,6 +42,7 @@ from boolprop.model import (
 from boolprop.reports import SweepReport
 from boolprop.rules import (
     BOOL,
+    Closure,
     PropagationRule,
     StoreStep,
     apply_rule_store,
@@ -463,8 +463,8 @@ def _check_redundant(redundant: ConstraintStore, s2: ConstraintStore) -> None:
         raise SimulationError("redundant remainder sets a free variable both ways")
     assumed = s2.union(ConstraintStore(redundant.constraints, frozenset(free)))
     for lit in sorted(redundant.literals - free, key=literal_sort_key):
-        refuted, _ = close(store_to_csp(assumed.union(store(lit.negated()))), BOOL)
-        if not is_failed(refuted):
+        refuted, _ = close(Closure(store_to_csp(assumed.union(store(lit.negated())))), BOOL)
+        if 0 not in refuted.masks:
             raise SimulationError(f"redundant literal {lit} does not follow from S2")
 
 

@@ -43,6 +43,7 @@ from boolprop.model import (
 )
 from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
+    Closure,
     PropagationRule,
     builtin_ruleset,
     close,
@@ -125,13 +126,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_propagate(args) -> int:
     csp, _ = _load_csp(args.file)
-    system = builtin_ruleset(args.system)
-    closed, trace = close(csp, system)
+    state, entries = close(Closure(csp), builtin_ruleset(args.system))
     if args.trace:
-        for step in trace:
+        for step in state.steps(entries):
             print(format_csp_step(step))
-    print(format_bcn(closed), end="")
-    print(f"# steps: {len(trace)}")
+    print(format_bcn(state.csp()), end="")
+    print(f"# steps: {len(entries)}")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ seeded random multi-constraint instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterator
@@ -41,6 +42,7 @@ from boolprop.rules import (
     _UNSUPPORTED,
     BOOL,
     BOOL_PRIME,
+    Closure,
     close,
     closed_under,
     domain_code,
@@ -115,13 +117,22 @@ def describe_csp(csp: BooleanCSP) -> str:
 _NONEMPTY_DOMAINS = (ZERO, ONE, FULL)
 
 
-def single_constraint_csps() -> Iterator[BooleanCSP]:
-    """All single-constraint CSPs with nonempty domains: 9 + 9 + 27 + 27."""
+@functools.cache
+def single_constraint_csps() -> tuple[BooleanCSP, ...]:
+    """All single-constraint CSPs with nonempty domains: 9 + 9 + 27 + 27,
+    by kind and then domain tuple in ``_NONEMPTY_DOMAINS`` order.
+
+    Built on the first call; every later call returns the same tuple,
+    which the sweeps share: a ``BooleanCSP`` is frozen, and no caller
+    changes its domains.
+    """
+    out = []
     for kind in ConstraintKind:
         vars = variables("x y" if kind.arity == 2 else "x y z")
         c = BoolConstraint(kind, vars)
         for doms in itertools.product(_NONEMPTY_DOMAINS, repeat=kind.arity):
-            yield bcsp(vars, dict(zip(vars, doms)), [c])
+            out.append(bcsp(vars, dict(zip(vars, doms)), [c]))
+    return tuple(out)
 
 
 _DOMAIN_CHOICES = (FULL, FULL, FULL, FULL, ZERO, ZERO, ONE, ONE, EMPTY)
@@ -218,12 +229,14 @@ def verify_bool_prime(budget: int = 1000, seed: int = 0) -> SweepReport:
     BOOL and BOOL' coincide: both failed, or reformulations of each
     other.  (Inconsistent instances fail with different empty domains --
     BOOL propagates towards outputs, BOOL' towards inputs -- so the
-    non-failed guard applies here as everywhere else.)
+    non-failed guard applies here as everywhere else.)  Each closure is
+    a ``Closure`` state: both failed is a mask 0 in each, and only the
+    other pairs are read back as CSPs for ``is_reformulation``.
     """
     rng = random.Random(seed)
     failures = []
     checked = 0
-    singles = list(single_constraint_csps())
+    singles = single_constraint_csps()
     instances = itertools.chain(singles, _random_non_failed(rng, budget))
     for csp in instances:
         checked += 1
@@ -243,13 +256,13 @@ def verify_bool_prime(budget: int = 1000, seed: int = 0) -> SweepReport:
         if not is_limited(csp):
             continue
         checked += 1
-        closure_bool, _ = close(csp, BOOL)
-        closure_prime, _ = close(csp, BOOL_PRIME)
-        if is_failed(closure_bool) and is_failed(closure_prime):
+        closure_bool, _ = close(Closure(csp), BOOL)
+        closure_prime, _ = close(Closure(csp), BOOL_PRIME)
+        if 0 in closure_bool.masks and 0 in closure_prime.masks:
             continue
-        if not is_reformulation(closure_bool, closure_prime):
+        a, b = closure_bool.csp(), closure_prime.csp()
+        if not is_reformulation(a, b):
             failures.append(
-                f"{describe_csp(csp)}: closures diverge "
-                f"({describe_csp(closure_bool)} vs {describe_csp(closure_prime)})"
+                f"{describe_csp(csp)}: closures diverge ({describe_csp(a)} vs {describe_csp(b)})"
             )
     return SweepReport("bool-prime", checked, tuple(failures))

@@ -435,7 +435,9 @@ class Closure:
     entry is a whole step: the rule's name (None for a ``restrict``),
     the matched id, (position, mask before, mask after) triples, whether
     the id was dropped and how many ids were added; those are the last
-    ids, which ``undo`` pops again.  ``steps`` renders entries for a trace.
+    ids, which ``undo`` pops again.  ``steps`` renders entries for a
+    trace, and ``csp`` reads the current CSP off the state; callers that
+    need neither test the masks directly (a failed state has a mask 0).
     """
 
     def __init__(self, csp: BooleanCSP) -> None:
@@ -457,6 +459,11 @@ class Closure:
     def domains(self) -> dict[Variable, Domain]:
         """The current domains, by variable."""
         return {v: _DOMAIN[m] for v, m in zip(self.vars, self.masks)}
+
+    def csp(self) -> BooleanCSP:
+        """The current CSP: the masks as domains and the alive constraints."""
+        kept = frozenset([c for c, a in zip(self.constraints, self.alive) if a])
+        return BooleanCSP._of_valid_parts(self.vars, self.domains, kept)
 
     def has(self, c: BoolConstraint, scope: tuple[int, ...]) -> bool:
         """Whether ``c``, on the positions ``scope``, is alive."""
@@ -552,12 +559,13 @@ def close(
     the schedule picks.
 
     Given a ``Closure``, ``close`` scans only its pending constraints
-    and returns it, closed in place, with its steps' trail entries.
-    When the state was closed before its pending constraints' variables
-    changed, every relevant application lies on those constraints, so
-    the steps are the ones a fresh closure of the same CSP would take.
-    Given a ``BooleanCSP``, it returns the closed CSP, read off the
-    state, and the steps as ``Closure.steps`` renders them.
+    and returns it, closed in place, with its steps' trail entries and
+    nothing rendered.  When the state was closed before its pending
+    constraints' variables changed, every relevant application lies on
+    those constraints, so the steps are the ones a fresh closure of the
+    same CSP would take.  Given a ``BooleanCSP``, it returns the closed
+    CSP, ``Closure.csp`` of the state, and the steps as ``Closure.steps``
+    renders them; callers that read neither pass ``Closure(csp)``.
     """
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
@@ -601,8 +609,7 @@ def close(
             scan(j)
     if state is csp:
         return state, trail[start:]
-    kept = frozenset([c for c, a in zip(constraints, alive) if a])
-    return BooleanCSP._of_valid_parts(csp.vars, state.domains, kept), state.steps(trail)
+    return state.csp(), state.steps(trail)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ attribute) pairs in its ``SITES``, for example ``boolprop.cli``'s
 into the module breaks ``perfbench/run.py --trace 1`` while every other
 test still passes, so each pair must resolve to a callable.  The
 tracer also reads its step counts off what ``close`` returns, so a
-traced ``propagate`` and ``solve`` must report the steps they print.
+traced ``propagate`` and ``solve`` must report the steps they print,
+and a traced ``bool-prime`` sweep the steps and failures of its closures.
 """
 
 import importlib
@@ -15,6 +16,9 @@ import re
 from pathlib import Path
 
 from boolprop.cli import run_command
+from boolprop.consistency import is_limited, single_constraint_csps
+from boolprop.model import is_failed
+from boolprop.rules import BOOL, BOOL_PRIME, close
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -64,3 +68,26 @@ def test_traced_close_spans_count_the_steps_printed(tmp_path, capsys):
     assert re.search(rf"^propagations: {solved[6]}$", out, re.M)
     assert re.search(rf"^splits: {solved[5]}$", out, re.M) and solved[5] > 0
     assert tracing.solver_steps_match(spans)
+
+
+def test_traced_bool_prime_sweep_counts_its_closures(capsys):
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.request = 0
+        assert run_command(["verify", "--theorem", "bool-prime", "--budget", "0"]) == 0
+    capsys.readouterr()
+    spans = tracer.take()
+    (sweep,) = [i for i, s in enumerate(spans) if s[0] == "consistency.verify_bool_prime"]
+    closes = [s for s in spans if s[0] == "rules.close"]
+    assert len(closes) == 136 and all(s[1] == sweep for s in closes)
+    # the counts read off the sweep's closure states equal those of
+    # closing each limited single-constraint CSP as a BooleanCSP
+    expected = [
+        (len(steps), int(is_failed(closed)))
+        for csp in single_constraint_csps()
+        if is_limited(csp)
+        for closed, steps in (close(csp, BOOL), close(csp, BOOL_PRIME))
+    ]
+    assert [(s[5], s[6]) for s in closes] == expected
+    assert sum(n for n, _ in expected) > 0 and 0 < sum(f for _, f in expected) < 136

@@ -266,6 +266,24 @@ def _seeded_3cnf(seed, n=10, m=43):
     return f"p cnf {n} {m}\n" + "".join(f"{c} 0\n" for c in clauses)
 
 
+def _outputs_without_csp_steps(commands, monkeypatch, capsys):
+    """Each command's exit code and output, which must not change once
+    ``CspStep`` raises; the first command, traced, must then raise."""
+    outputs = []
+    for argv in commands:
+        outputs.append((run_command(argv), capsys.readouterr()))
+
+    def step(*args):
+        raise AssertionError("CspStep built")
+
+    monkeypatch.setattr("boolprop.rules.CspStep", step)
+    for argv, expected in zip(commands, outputs):
+        assert (run_command(argv), capsys.readouterr()) == expected, argv
+    with pytest.raises(AssertionError, match="CspStep built"):
+        run_command([*commands[0], "--trace"])
+    return outputs
+
+
 def test_an_untraced_solve_builds_no_csp_step(tmp_path, monkeypatch, capsys):
     files = []
     for seed in range(4):
@@ -277,21 +295,33 @@ def test_an_untraced_solve_builds_no_csp_step(tmp_path, monkeypatch, capsys):
         for path in files
         for system in ("bool", "bool-prime")
     ]
-    outputs = []
-    for argv in commands:
-        outputs.append((run_command(argv), capsys.readouterr()))
-
-    def step(*args):
-        raise AssertionError("CspStep built")
-
-    monkeypatch.setattr("boolprop.rules.CspStep", step)
-    for argv, expected in zip(commands, outputs):
-        assert (run_command(argv), capsys.readouterr()) == expected, argv
-    # the searches split and end both ways, and a traced one renders steps
+    outputs = _outputs_without_csp_steps(commands, monkeypatch, capsys)
+    # the searches split and end both ways
     assert {code for code, _ in outputs} == {0, 3}
     assert any("splits: 0" not in out.out for _, out in outputs)
-    with pytest.raises(AssertionError, match="CspStep built"):
-        run_command([*commands[0], "--trace"])
+
+
+def test_untraced_propagate_and_bool_prime_sweep_build_no_csp_step(
+    tmp_path, monkeypatch, capsys
+):
+    files = []
+    for seed in range(4):
+        files.append(tmp_path / f"circuit{seed}.bcn")
+        files[-1].write_text(_seeded_circuit(seed))
+    commands = [
+        ["propagate", str(path), "--system", system]
+        for path in files
+        for system in ("bool", "bool-prime")
+    ]
+    commands.append(["verify", "--theorem", "bool-prime", "--budget", "5"])
+    outputs = _outputs_without_csp_steps(commands, monkeypatch, capsys)
+    # every closure takes steps, some fail, BOOL' adds equalities, the sweep passes
+    closed = [out.out for code, out in outputs[:-1] if code == 0]
+    assert len(closed) == 8 and all("# steps: 0" not in out for out in closed)
+    assert any(" {}\n" in out for out in closed)
+    assert any(b.count("\neq ") < p.count("\neq ") for b, p in zip(closed[::2], closed[1::2]))
+    code, out = outputs[-1]
+    assert code == 0 and out.out == "bool-prime: 149 instances checked, 0 counterexamples\n"
 
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])

@@ -7,11 +7,13 @@ compare domains with the four patterns, and must never build a
 restricted relation themselves.
 """
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from boolprop import consistency
 from boolprop.cli import run_command
 from boolprop.consistency import (
     describe_csp,
@@ -27,6 +29,10 @@ from boolprop.consistency import (
 )
 from boolprop.model import (
     EMPTY,
+    FULL,
+    ONE,
+    ZERO,
+    ConstraintKind,
     andc,
     bcsp,
     is_failed,
@@ -35,6 +41,7 @@ from boolprop.model import (
     orc,
     variables,
 )
+from boolprop.reports import SweepReport
 from boolprop.rules import BOOL, BOOL_PRIME, closed_under
 from reference import reference_hyper_arc_witnesses, reference_is_limited
 from strategies import csps, every_single_constraint_csp
@@ -76,6 +83,21 @@ def test_single_constraint_sweep_size():
     assert sum(1 for _ in single_constraint_csps()) == 9 + 9 + 27 + 27
 
 
+def test_single_constraint_csps_are_built_once_in_kind_then_domain_order():
+    singles = single_constraint_csps()
+    assert isinstance(singles, tuple) and single_constraint_csps() is singles
+    shapes = []
+    for csp in singles:
+        (c,) = csp.constraints
+        assert c.vars == csp.vars
+        shapes.append((c.kind, tuple(csp.domains[v] for v in csp.vars)))
+    assert shapes == [
+        (kind, doms)
+        for kind in ConstraintKind
+        for doms in itertools.product((ZERO, ONE, FULL), repeat=kind.arity)
+    ]
+
+
 def test_characterization_sweep():
     report = verify_characterization(budget=300, seed=3)
     assert report.ok, report.summary()
@@ -113,6 +135,36 @@ def test_rule_necessity_keeps_every_closed_inconsistent_instance_in_sweep_order(
 def test_bool_prime_sweep():
     report = verify_bool_prime(budget=300, seed=3)
     assert report.ok, report.summary()
+
+
+def test_bool_prime_sweep_catches_diverging_closures_and_keeps_nothing(monkeypatch):
+    assert verify_bool_prime(0, 1) == SweepReport("bool-prime", 144, ())
+    # each sweep closes the 68 limited single-constraint CSPs under both
+    # systems and compares the 52 pairs that do not both fail
+    calls = {"close": 0, "is_reformulation": 0}
+
+    def counted(name):
+        original = getattr(consistency, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(consistency, name, counted(name))
+    for _ in range(2):
+        assert verify_bool_prime(5, 7).ok
+        assert calls == {"close": 136, "is_reformulation": 52}
+        calls.update(dict.fromkeys(calls, 0))
+    # without AND 4, BOOL' leaves and(x, y, z) with x = 0 unpruned
+    monkeypatch.setattr(consistency, "BOOL_PRIME", BOOL_PRIME.without("AND 4"))
+    diverged = (
+        "var x y z; dom x 0; and x y z: closures diverge "
+        "(var x y z; dom x 0; dom z 0 vs var x y z; dom x 0; and x y z)"
+    )
+    assert diverged in verify_bool_prime(0, 1).failures
 
 
 def test_problematic_csps_consistent_but_not_closed():
