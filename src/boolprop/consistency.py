@@ -33,7 +33,6 @@ from boolprop.model import (
     Variable,
     bcsp,
     constraint_sort_key,
-    is_failed,
     is_reformulation,
     variables,
 )
@@ -135,7 +134,8 @@ def single_constraint_csps() -> tuple[BooleanCSP, ...]:
     return tuple(out)
 
 
-_DOMAIN_CHOICES = (FULL, FULL, FULL, FULL, ZERO, ZERO, ONE, ONE, EMPTY)
+_NONEMPTY_CHOICES = (FULL, FULL, FULL, FULL, ZERO, ZERO, ONE, ONE)
+_DOMAIN_CHOICES = _NONEMPTY_CHOICES + (EMPTY,)
 
 
 def random_csp(
@@ -144,10 +144,12 @@ def random_csp(
     max_constraints: int = 6,
     allow_empty_domains: bool = True,
 ) -> BooleanCSP:
-    """A seeded random CSP; may be failed unless empty domains are disabled."""
+    """A seeded random CSP; may be failed unless empty domains are
+    disabled, and then each domain is drawn as it would be with them,
+    conditioned on being non-empty."""
     n = rng.randint(1, max_vars)
     vars = variables([f"v{i}" for i in range(n)])
-    choices = _DOMAIN_CHOICES if allow_empty_domains else _NONEMPTY_DOMAINS
+    choices = _DOMAIN_CHOICES if allow_empty_domains else _NONEMPTY_CHOICES
     domains = {v: rng.choice(choices) for v in vars}
     constraints = set()
     kinds = [k for k in ConstraintKind if k.arity <= n]
@@ -161,12 +163,8 @@ def random_csp(
 
 
 def _random_non_failed(rng: random.Random, budget: int) -> Iterator[BooleanCSP]:
-    produced = 0
-    while produced < budget:
-        csp = random_csp(rng)
-        if not is_failed(csp):
-            produced += 1
-            yield csp
+    """``budget`` seeded random CSPs, none failed."""
+    return (random_csp(rng, allow_empty_domains=False) for _ in range(budget))
 
 
 # ---------------------------------------------------------------------------

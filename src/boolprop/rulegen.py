@@ -119,10 +119,10 @@ def check_complete(rs: Iterable[CandidateRule], table: ConstraintTable) -> bool:
 
 
 def as_candidate(r: PropagationRule) -> CandidateRule | None:
-    """The assignment-form shape of an engine rule; None for rules whose
-    conclusion introduces constraints (those are not expressible as
+    """The assignment-form shape of an engine rule; None for a rule whose
+    conclusion is a replacement constraint (not expressible as
     ``X = s -> Y = t``)."""
-    if r.conclusion_constraints:
+    if r.replacement:
         return None
     return CandidateRule(r.premise, r.conclusion_assignments)
 

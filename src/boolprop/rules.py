@@ -2,7 +2,7 @@
 
 A rule pairs a constraint kind with premise assignments (role position ->
 required value) and a conclusion, which is either further assignments or,
-in the primed system, replacement constraints.  Rules act in two
+in the primed system, one replacement constraint.  Rules act in two
 interpretations: on constraint stores (premise literals present -> add
 conclusion literals) and on CSPs (premise domains are the matching
 singletons -> intersect conclusion domains).  Both interpretations drop
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -55,7 +54,7 @@ from boolprop.model import (
     truth_table,
 )
 
-# A conclusion constraint pattern: kind plus role positions of the match.
+# A replacement constraint pattern: kind plus role positions of the match.
 ConstraintPattern = tuple[ConstraintKind, tuple[int, ...]]
 
 # The singleton domain of a value: premises match it, conclusions
@@ -70,11 +69,14 @@ _ROLES = {2: (0, 1), 3: (0, 1, 2)}  # a constraint's roles, by arity
 
 @dataclass(frozen=True)
 class PropagationRule:
+    """A rule on ``kind`` constraints; its ``replacement``, if any, is the
+    one constraint pattern that replaces a match (four rules of BOOL')."""
+
     name: str
     kind: ConstraintKind
     premise: tuple[tuple[int, int], ...]  # sorted (position, value) pairs
     conclusion_assignments: tuple[tuple[int, int], ...]
-    conclusion_constraints: frozenset[ConstraintPattern] = frozenset()
+    replacement: ConstraintPattern | None = None
 
     def __post_init__(self) -> None:
         arity = self.kind.arity
@@ -82,24 +84,21 @@ class PropagationRule:
         concl = dict(self.conclusion_assignments)
         if not prem:
             raise ValueError(f"{self.name}: empty premise")
-        if not concl and not self.conclusion_constraints:
+        if not concl and not self.replacement:
             raise ValueError(f"{self.name}: empty conclusion")
         if set(prem) & set(concl):
             raise ValueError(f"{self.name}: premise and conclusion positions overlap")
         for p in list(prem) + list(concl):
             if not 0 <= p < arity:
                 raise ValueError(f"{self.name}: position {p} out of range")
-        for _, positions in self.conclusion_constraints:
-            for p in positions:
-                if not 0 <= p < arity:
-                    raise ValueError(f"{self.name}: pattern position {p} out of range")
-
-    @cached_property
-    def patterns(self) -> tuple[ConstraintPattern, ...]:
-        """The replacement constraint patterns, in kind and position order."""
-        return tuple(
-            sorted(self.conclusion_constraints, key=lambda pat: (pat[0].value, pat[1]))
-        )
+        if self.replacement:
+            kind, ps = self.replacement
+            in_range = all(0 <= p < arity for p in ps)
+            if len(ps) != kind.arity or len(set(ps)) != len(ps) or not in_range:
+                raise ValueError(
+                    f"{self.name}: replacement {kind.value} needs {kind.arity} "
+                    f"distinct positions below {arity}, got {ps}"
+                )
 
     @cached_property
     def drops(self) -> bool:
@@ -108,7 +107,7 @@ class PropagationRule:
         premise and concluded singletons with {0,1} elsewhere."""
         pinned = self.premise + self.conclusion_assignments
         code = 4**self.kind.arity - 1 - sum(2 >> v << 2 * p for p, v in pinned)
-        return bool(self.patterns) or _SOLVED[self.kind][code]
+        return self.replacement is not None or _SOLVED[self.kind][code]
 
 
 def rule(
@@ -116,14 +115,14 @@ def rule(
     kind: ConstraintKind,
     premise: Mapping[int, int],
     conclusion: Mapping[int, int],
-    conclusion_constraints: Iterable[ConstraintPattern] = (),
+    replacement: ConstraintPattern | None = None,
 ) -> PropagationRule:
     return PropagationRule(
         name,
         kind,
         tuple(sorted(premise.items())),
         tuple(sorted(conclusion.items())),
-        frozenset(conclusion_constraints),
+        replacement,
     )
 
 
@@ -147,7 +146,7 @@ class RuleSet:
 
         A rule applies at a code when each premise role holds its
         singleton.  Only the domains of the matched constraint's
-        variables, that constraint and its replacements differ between
+        variables, that constraint and its replacement differ between
         the CSP and its successor, so a step is relevant exactly when it
         shrinks a mask, drops the constraint while ``_SOLVED`` marks it
         unsolved, or adds an unsolved replacement.  A rule is listed
@@ -175,11 +174,13 @@ class RuleSet:
                 )
                 if moves or (r.drops and not _SOLVED[r.kind][code]):
                     entries[index] = _Entry(r, moves)
-                elif not all(_SOLVED[kind][_code(masks, ps)] for kind, ps in r.patterns):
-                    raise ValueError(
-                        f"{r.name}: relevance at domain code {code} depends on "
-                        "whether its replacement is present"
-                    )
+                elif r.replacement:
+                    kind, ps = r.replacement
+                    if not _SOLVED[kind][_code(masks, ps)]:
+                        raise ValueError(
+                            f"{r.name}: relevance at domain code {code} depends on "
+                            "whether its replacement is present"
+                        )
         return {kind: tuple(entries) for kind, entries in table.items()}
 
     def by_name(self, rule_name: str) -> PropagationRule:
@@ -231,15 +232,15 @@ BOOL_PRIME = RuleSet(
     "BOOL_PRIME",
     _EQ_NOT_RULES
     + (
-        rule("AND 1'", _K.AND, {0: 1}, {}, [(_K.EQ, (1, 2))]),
-        rule("AND 2'", _K.AND, {1: 1}, {}, [(_K.EQ, (0, 2))]),
+        rule("AND 1'", _K.AND, {0: 1}, {}, (_K.EQ, (1, 2))),
+        rule("AND 2'", _K.AND, {1: 1}, {}, (_K.EQ, (0, 2))),
         rule("AND 3'", _K.AND, {2: 1}, {0: 1}),
         rule("AND 4", _K.AND, {0: 0}, {2: 0}),
         rule("AND 5", _K.AND, {1: 0}, {2: 0}),
         rule("AND 6'", _K.AND, {2: 1}, {1: 1}),
         rule("OR 1", _K.OR, {0: 1}, {2: 1}),
-        rule("OR 2'", _K.OR, {0: 0}, {}, [(_K.EQ, (1, 2))]),
-        rule("OR 3'", _K.OR, {1: 0}, {}, [(_K.EQ, (0, 2))]),
+        rule("OR 2'", _K.OR, {0: 0}, {}, (_K.EQ, (1, 2))),
+        rule("OR 3'", _K.OR, {1: 0}, {}, (_K.EQ, (0, 2))),
         rule("OR 4'", _K.OR, {2: 0}, {0: 0}),
         rule("OR 5", _K.OR, {1: 1}, {2: 1}),
         rule("OR 6'", _K.OR, {2: 0}, {1: 0}),
@@ -315,10 +316,9 @@ def _firings(
         after = set(constraints)
         if r.drops:
             after.discard(c)
-        after.update(
-            BoolConstraint(kind, tuple(c.vars[p] for p in positions))
-            for kind, positions in r.patterns
-        )
+        if r.replacement:
+            kind, positions = r.replacement
+            after.add(BoolConstraint(kind, tuple(c.vars[p] for p in positions)))
         concluded = [(c.vars[p], v) for p, v in r.conclusion_assignments]
         yield c, concluded, frozenset(after)
 
@@ -328,8 +328,8 @@ def apply_rule_store(r: PropagationRule, s: ConstraintStore) -> list[StoreStep]:
 
     A constraint of the rule's kind matches when every premise literal
     (instantiated through the constraint's variable tuple) is present.
-    Premise literals are retained; conclusion literals and replacement
-    constraints are added.  Applications that would leave the store
+    Premise literals are retained; conclusion literals and the
+    replacement constraint are added.  Applications that would leave the store
     unchanged are omitted.
     """
     def holds(var: Variable, value: int) -> bool:
@@ -434,10 +434,11 @@ class Closure:
     ``pending`` holds the ids the next ``close`` must scan.  A trail
     entry is a whole step: the rule's name (None for a ``restrict``),
     the matched id, (position, mask before, mask after) triples, whether
-    the id was dropped and how many ids were added; those are the last
-    ids, which ``undo`` pops again.  ``steps`` renders entries for a
-    trace, and ``csp`` reads the current CSP off the state; callers that
-    need neither test the masks directly (a failed state has a mask 0).
+    the id was dropped and the id the step added, or -1.  An added id is
+    the last one while its entry is on the trail, so ``undo`` pops it
+    again.  ``steps`` renders entries for a trace, and ``csp`` reads the
+    current CSP off the state; callers that need neither test the masks
+    directly (a failed state has a mask 0).
     """
 
     def __init__(self, csp: BooleanCSP) -> None:
@@ -465,47 +466,47 @@ class Closure:
         kept = frozenset([c for c, a in zip(self.constraints, self.alive) if a])
         return BooleanCSP._of_valid_parts(self.vars, self.domains, kept)
 
-    def has(self, c: BoolConstraint, scope: tuple[int, ...]) -> bool:
-        """Whether ``c``, on the positions ``scope``, is alive."""
+    def has(self, kind: ConstraintKind, scope: tuple[int, ...]) -> bool:
+        """Whether a constraint of ``kind`` on the positions ``scope`` is alive."""
         constraints, scopes, alive = self.constraints, self.scopes, self.alive
         return any(
-            alive[i] and scopes[i] == scope and constraints[i].kind is c.kind
+            alive[i] and scopes[i] == scope and constraints[i].kind is kind
             for i in self.occurs[scope[0]]
         )
 
     def restrict(self, v: Variable, d: Domain) -> None:
         """Meet ``v``'s domain with ``d``; the next ``close`` scans its constraints."""
         p, masks = self.position[v], self.masks
-        self._apply(None, -1, [(p, masks[p], masks[p] & _MASK[d])], False, [])
+        self._apply(None, -1, [(p, masks[p], masks[p] & _MASK[d])], False)
         self.pending.extend(self.occurs[p])
 
-    def _apply(self, name: str | None, i: int, moved: list, dropped: bool, added: list) -> None:
+    def _apply(self, name: str | None, i: int, moved: list, dropped: bool, added=None) -> None:
         """Set each (position, mask before, mask after) to its mask after,
-        drop id ``i`` if ``dropped`` and give each (key, constraint,
-        scope) of ``added`` a new id, as one trail entry."""
-        masks, occurs = self.masks, self.occurs
+        drop id ``i`` if ``dropped`` and give ``added``, a (constraint,
+        scope) pair or None, a new id, as one trail entry."""
+        masks = self.masks
         for p, _, mask in moved:
             masks[p] = mask
         if dropped:
             self.alive[i] = False
-        for key, a, scope in added:
+        new = len(self.constraints) if added else -1
+        if added:
+            a, scope = added
             for p in scope:
-                occurs[p].append(len(self.constraints))
+                self.occurs[p].append(new)
             self.constraints.append(a)
             self.scopes.append(scope)
-            self.keys.append(key)
+            self.keys.append(constraint_sort_key(a))
             self.alive.append(True)
-        self.trail.append((name, i, moved, dropped, len(added)))
+        self.trail.append((name, i, moved, dropped, new))
 
     def steps(self, entries: list[tuple]) -> list[CspStep]:
-        """``entries``, the trail's last ones as ``close`` returns them, as ``CspStep``s."""
+        """Trail ``entries`` from any ``close`` on this state, as ``CspStep``s."""
         constraints, steps = self.constraints, []
-        first = len(constraints) - sum(e[4] for e in entries)
         for name, i, moved, dropped, added in entries:
             changes = tuple([(self.vars[p], _DOMAIN[b], _DOMAIN[a]) for p, b, a in moved])
-            new = tuple(constraints[first : first + added])
+            new = (constraints[added],) if added >= 0 else ()
             steps.append(CspStep(name, constraints[i], changes, dropped, new))
-            first += added
         return steps
 
     def undo(self, mark: int) -> None:
@@ -517,7 +518,7 @@ class Closure:
                 masks[p] = before
             if dropped:
                 alive[i] = True
-            for _ in range(added):
+            if added >= 0:
                 for p in self.scopes.pop():
                     occurs[p].pop()
                 self.constraints.pop()
@@ -548,24 +549,25 @@ def close(
     rule set's table at the constraint's kind and domain code and
     pushes (rule index, constraint key, id) for each entry there.  A
     popped candidate reads its entry again at the current code and
-    fires if the entry is still there, adding each replacement that
-    ``Closure.has`` does not find.  So no CSP is built and
+    fires if the entry is still there, adding the rule's replacement
+    unless ``Closure.has`` finds it.  So no CSP is built and
     ``is_reformulation``, the specification, is not asked.
     A step can only change the applications on the matched constraint's
     variables, since its domain changes and its dropped and added
-    constraints all lie there, so only the constraints on those
+    constraint all lie there, so only the constraints on those
     variables are scanned again.  The heap thus holds every relevant
     application, and its least one that is still relevant is the one
     the schedule picks.
 
     Given a ``Closure``, ``close`` scans only its pending constraints
-    and returns it, closed in place, with its steps' trail entries and
-    nothing rendered.  When the state was closed before its pending
-    constraints' variables changed, every relevant application lies on
-    those constraints, so the steps are the ones a fresh closure of the
-    same CSP would take.  Given a ``BooleanCSP``, it returns the closed
-    CSP, ``Closure.csp`` of the state, and the steps as ``Closure.steps``
-    renders them; callers that read neither pass ``Closure(csp)``.
+    and returns it, closed in place, with its steps' trail entries, each
+    naming the id its step added or -1, and nothing rendered.  When the
+    state was closed before its pending constraints' variables changed,
+    every relevant application lies on those constraints, so the steps
+    are the ones a fresh closure of the same CSP would take.  Given a
+    ``BooleanCSP``, it returns the closed CSP, ``Closure.csp`` of the
+    state, and the steps as ``Closure.steps`` renders them; callers that
+    read neither pass ``Closure(csp)``.
     """
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
@@ -595,13 +597,12 @@ def close(
             continue
         if len(trail) - start >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")
-        r, added = e.rule, []
-        for kind, ps in r.patterns:
-            a = BoolConstraint(kind, tuple([c.vars[p] for p in ps]))
+        r, added = e.rule, None
+        if r.replacement:
+            kind, ps = r.replacement
             s = tuple([scope[p] for p in ps])
-            if not state.has(a, s):
-                added.append((constraint_sort_key(a), a, s))
-        added.sort(key=lambda a: a[0])
+            if not state.has(kind, s):
+                added = BoolConstraint(kind, tuple([c.vars[p] for p in ps])), s
         moved = sorted([(scope[p], masks[scope[p]], m) for p, m in e.moves])
         state._apply(r.name, i, moved, r.drops, added)
         touched = scope if r.drops else [p for p, _, _ in moved]
@@ -630,10 +631,9 @@ def format_rule(r: PropagationRule) -> str:
     roles = _ROLE_NAMES[r.kind.arity]
     premise = ", ".join(f"{roles[p]} = {v}" for p, v in r.premise)
     concl_parts = [f"{roles[p]} = {v}" for p, v in r.conclusion_assignments]
-    concl_parts += [
-        _KIND_TEMPLATES[kind].format(*[roles[p] for p in positions])
-        for kind, positions in r.patterns
-    ]
+    if r.replacement:
+        kind, positions = r.replacement
+        concl_parts.append(_KIND_TEMPLATES[kind].format(*[roles[p] for p in positions]))
     head = _KIND_TEMPLATES[r.kind].format(*roles)
     return f"{r.name:<7} {head}, {premise} -> {', '.join(concl_parts)}"
 

@@ -101,7 +101,7 @@ def _csps_with_a_replacement_present(system):
     replaces, with that replacement already present: firing the rule
     then adds nothing, so it is relevant only when it shrinks a domain
     or drops an unsolved constraint."""
-    replaced = {(r.kind, kind, ps) for r in system.rules for kind, ps in r.patterns}
+    replaced = {(r.kind, *r.replacement) for r in system.rules if r.replacement}
     vars = variables("x y z")
     for kind, new_kind, ps in sorted(replaced, key=lambda t: (t[0].value, t[1].value, t[2])):
         replacement = BoolConstraint(new_kind, tuple(vars[p] for p in ps))
@@ -130,7 +130,7 @@ def test_a_rule_drops_its_constraint_when_replaced_or_pinned_solved(system):
         vs = variables("x y z")[: r.kind.arity]
         c = BoolConstraint(r.kind, vs)
         pinned = {vs[p]: frozenset({v}) for p, v in r.premise + r.conclusion_assignments}
-        assert r.drops == (bool(r.patterns) or is_solved(c, bcsp(vs, pinned, [c]))), r.name
+        assert r.drops == (bool(r.replacement) or is_solved(c, bcsp(vs, pinned, [c]))), r.name
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda rs: rs.name)
@@ -169,13 +169,13 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
             assert moved == {
                 v: d for v, d in application.after.domains.items() if d != csp.domains[v]
             }, (r.name, csp)
-            # each replacement that Closure.has does not find is the one added
+            # the replacement, unless Closure.has finds it, is the one added
             scope = state.scopes[i]
             added = []
-            for kind, ps in r.patterns:
-                a = BoolConstraint(kind, tuple(c.vars[p] for p in ps))
-                if not state.has(a, tuple(scope[p] for p in ps)):
-                    added.append(a)
+            if r.replacement:
+                kind, ps = r.replacement
+                if not state.has(kind, tuple(scope[p] for p in ps)):
+                    added.append(BoolConstraint(kind, tuple(c.vars[p] for p in ps)))
             assert set(added) == application.after.constraints - csp.constraints, (r.name, csp)
             constraints = set(csp.constraints) | set(added)
             if r.drops:
@@ -188,7 +188,7 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
 ADDS_ONLY = RuleSet(
     "ADDS_ONLY",
     (
-        rule("AND 4*", _K.AND, {0: 0}, {2: 0}, [(_K.EQ, (1, 2))]),
+        rule("AND 4*", _K.AND, {0: 0}, {2: 0}, (_K.EQ, (1, 2))),
         rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
     ),
 )
@@ -197,7 +197,7 @@ ADDS_ONLY = RuleSet(
 UNSOUND = RuleSet(
     "UNSOUND",
     (
-        rule("AND x", _K.AND, {0: 1}, {}, [(_K.EQ, (0, 1))]),
+        rule("AND x", _K.AND, {0: 1}, {}, (_K.EQ, (0, 1))),
         rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
     ),
 )
@@ -388,6 +388,21 @@ def test_undo_pops_the_ids_a_replacement_added():
         assert close(state, BOOL_PRIME) == (state, [])
 
 
+def test_steps_render_an_earlier_slice_after_a_later_replacement():
+    a, b, c, d, e, f = variables("a b c d e f")
+    constraints = [BoolConstraint(_K.AND, (a, b, c)), BoolConstraint(_K.OR, (d, e, f))]
+    state = Closure(bcsp((a, b, c, d, e, f), {a: 1}, constraints))
+    first = close(state, BOOL_PRIME)[1]
+    state.restrict(d, ZERO)
+    second = close(state, BOOL_PRIME)[1]
+    # each entry names the id its step added, -1 for the restriction
+    assert [entry[4] for entry in state.trail] == [2, -1, 3]
+    (step,) = state.steps(first)
+    assert (step.rule, step.added) == ("AND 1'", (BoolConstraint(_K.EQ, (b, c)),))
+    (step,) = state.steps(second)
+    assert (step.rule, step.added) == ("OR 2'", (BoolConstraint(_K.EQ, (e, f)),))
+
+
 def test_a_dropped_constraint_is_added_again_under_a_new_id():
     # Not sound, but its table is built: "AND 1*" moves z wherever it
     # applies to a solved AND with y = z unsolved, so it is listed there.
@@ -395,7 +410,7 @@ def test_a_dropped_constraint_is_added_again_under_a_new_id():
     readds = RuleSet(
         "READDS",
         (
-            rule("AND 1*", _K.AND, {0: 1}, {2: 1}, [(_K.EQ, (1, 2))]),
+            rule("AND 1*", _K.AND, {0: 1}, {2: 1}, (_K.EQ, (1, 2))),
             rule("EQU 3", _K.EQ, {0: 0}, {1: 0}),
         ),
     )

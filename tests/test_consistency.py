@@ -167,6 +167,21 @@ def test_bool_prime_sweep_catches_diverging_closures_and_keeps_nothing(monkeypat
     assert diverged in verify_bool_prime(0, 1).failures
 
 
+@pytest.mark.parametrize("sweep", [verify_characterization, verify_bool_prime])
+def test_sweeps_draw_exactly_budget_non_failed_random_instances(monkeypatch, sweep):
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(random_csp(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(consistency, "random_csp", counted)
+    for seed in (1, 7):
+        drawn.clear()
+        assert sweep(budget=40, seed=seed).ok
+        assert len(drawn) == 40 and not any(is_failed(csp) for csp in drawn)
+
+
 def test_problematic_csps_consistent_but_not_closed():
     for csp in problematic_csps():
         assert not hyper_arc_witnesses(csp)

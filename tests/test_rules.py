@@ -31,6 +31,8 @@ from boolprop.rules import (
     close,
     closed_under,
     format_csp_step,
+    format_rule,
+    rule,
 )
 from strategies import csps, stores
 
@@ -60,13 +62,37 @@ def test_bool_prime_structure():
     and1 = BOOL_PRIME.by_name("AND 1'")
     assert dict(and1.premise) == {0: 1}
     assert not and1.conclusion_assignments
-    assert and1.conclusion_constraints == {(ConstraintKind.EQ, (1, 2))}
+    assert and1.replacement == (ConstraintKind.EQ, (1, 2))
 
 
 def test_and6_shape():
     and6 = BOOL.by_name("AND 6")
     assert dict(and6.premise) == {2: 1}
     assert dict(and6.conclusion_assignments) == {0: 1, 1: 1}
+
+
+def test_format_rule_prints_the_assignments_or_the_replacement():
+    assert [format_rule(BOOL_PRIME.by_name(n)) for n in ("AND 1'", "OR 3'", "AND 3'")] == [
+        "AND 1'  x /\\ y = z, x = 1 -> y = z",
+        "OR 3'   x \\/ y = z, y = 0 -> x = z",
+        "AND 3'  x /\\ y = z, z = 1 -> x = 1",
+    ]
+    assert format_rule(BOOL.by_name("AND 6")) == "AND 6   x /\\ y = z, z = 1 -> x = 1, y = 1"
+
+
+@pytest.mark.parametrize(
+    "replacement",
+    [
+        (ConstraintKind.EQ, (1,)),
+        (ConstraintKind.EQ, (1, 1)),
+        (ConstraintKind.AND, (0, 1)),
+        (ConstraintKind.EQ, (1, 3)),
+    ],
+    ids=["too-few-positions", "repeated-position", "wrong-arity", "out-of-range"],
+)
+def test_a_malformed_replacement_is_refused_at_construction(replacement):
+    with pytest.raises(ValueError, match=r"^X: replacement .* distinct positions"):
+        rule("X", ConstraintKind.AND, {0: 1}, {}, replacement)
 
 
 def test_builtin_ruleset_lookup():
