@@ -430,7 +430,8 @@ class Closure:
     Variables are positions in ``vars`` and constraints are ids.
     ``masks`` holds each position's domain as a 2-bit mask; per id,
     ``constraints``, ``scopes`` (positions), ``keys`` (sort keys) and
-    ``alive``; per position, ``occurs`` lists its ids, dropped ones too.
+    ``alive``, and ``live`` counts the alive ids; per position,
+    ``occurs`` lists its ids, dropped ones too.
     ``pending`` holds the ids the next ``close`` must scan.  A trail
     entry is a whole step: the rule's name (None for a ``restrict``),
     the matched id, (position, mask before, mask after) triples, whether
@@ -449,6 +450,7 @@ class Closure:
         self.scopes = [tuple([position[v] for v in c.vars]) for c in self.constraints]
         self.keys = [constraint_sort_key(c) for c in self.constraints]
         self.alive = [True] * len(self.constraints)
+        self.live = len(self.constraints)
         self.occurs: list[list[int]] = [[] for _ in csp.vars]
         for i, scope in enumerate(self.scopes):
             for p in scope:
@@ -489,8 +491,10 @@ class Closure:
             masks[p] = mask
         if dropped:
             self.alive[i] = False
+            self.live -= 1
         new = len(self.constraints) if added else -1
         if added:
+            self.live += 1
             a, scope = added
             for p in scope:
                 self.occurs[p].append(new)
@@ -518,7 +522,9 @@ class Closure:
                 masks[p] = before
             if dropped:
                 alive[i] = True
+                self.live += 1
             if added >= 0:
+                self.live -= 1
                 for p in self.scopes.pop():
                     occurs[p].pop()
                 self.constraints.pop()
@@ -543,7 +549,8 @@ def close(
     canonical constraint order.  Each relevant step shrinks a domain,
     which can happen 2|V| times, or replaces an AND or OR constraint by
     an equality, which can happen |C| times; ``max_steps`` defaults to
-    that bound, and exceeding it raises RuntimeError.
+    that bound, with |C| the live ids at the call as ``Closure.live``
+    counts them, and exceeding it raises RuntimeError.
 
     The work runs on a ``Closure``.  Scanning a constraint looks up the
     rule set's table at the constraint's kind and domain code and
@@ -552,12 +559,13 @@ def close(
     fires if the entry is still there, adding the rule's replacement
     unless ``Closure.has`` finds it.  So no CSP is built and
     ``is_reformulation``, the specification, is not asked.
-    A step can only change the applications on the matched constraint's
-    variables, since its domain changes and its dropped and added
-    constraint all lie there, so only the constraints on those
-    variables are scanned again.  The heap thus holds every relevant
-    application, and its least one that is still relevant is the one
-    the schedule picks.
+    A table entry depends only on a constraint's kind and domain code.
+    A step changes only the codes of the constraints on the positions
+    whose masks it moved, and adds at most one id, so only the moved
+    positions' constraints and the added id are scanned again; a drop
+    that moves no mask changes no other constraint's entries.  The heap
+    thus holds every relevant application, and its least one that is
+    still relevant is the one the schedule picks.
 
     Given a ``Closure``, ``close`` scans only its pending constraints
     and returns it, closed in place, with its steps' trail entries, each
@@ -571,7 +579,7 @@ def close(
     """
     state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
-        max_steps = 2 * len(state.vars) + sum(state.alive)
+        max_steps = 2 * len(state.vars) + state.live
     table, masks = rs._table, state.masks
     constraints, scopes, keys, alive, occurs = (
         state.constraints, state.scopes, state.keys, state.alive, state.occurs
@@ -605,8 +613,10 @@ def close(
                 added = BoolConstraint(kind, tuple([c.vars[p] for p in ps])), s
         moved = sorted([(scope[p], masks[scope[p]], m) for p, m in e.moves])
         state._apply(r.name, i, moved, r.drops, added)
-        touched = scope if r.drops else [p for p, _, _ in moved]
-        for j in {j for p in touched for j in occurs[p] if alive[j]}:
+        rescan = {j for p, _, _ in moved for j in occurs[p] if alive[j]}
+        if added:
+            rescan.add(len(constraints) - 1)
+        for j in rescan:
             scan(j)
     if state is csp:
         return state, trail[start:]

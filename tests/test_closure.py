@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolprop.bcn import parse_bcn
 from boolprop.cli import run_command
 from boolprop.consistency import random_csp
 from boolprop.model import (
@@ -348,6 +349,23 @@ def test_continued_close_raises_on_the_step_past_any_cap(max_steps):
     assert len(close(state, BOOL, max_steps=2)[1]) == 2
 
 
+def test_close_scans_the_id_a_step_added():
+    # AND 1' adds v2 = v0 at a code where EQU 1 applies at once; no mask
+    # moved, so only the scan of the added id finds it before OR 1 fires
+    csp = parse_bcn(
+        "var v0 v1 v2\ndom v1 1\ndom v2 1\n"
+        "and v1 v2 v0\nor v1 v2 v0\nor v2 v1 v0\n"
+    )
+    _assert_same_closure(csp, BOOL_PRIME)
+    closed, trace = close(csp, BOOL_PRIME)
+    assert [step.rule for step in trace] == ["AND 1'", "EQU 1"]
+    v0, v1, v2 = csp.vars
+    assert closed.domains[v0] == ONE
+    assert closed.constraints == {
+        BoolConstraint(_K.OR, (v1, v2, v0)), BoolConstraint(_K.OR, (v2, v1, v0))
+    }
+
+
 def _alive(state):
     return {state.constraints[i] for i, alive in enumerate(state.alive) if alive}
 
@@ -356,13 +374,19 @@ def _alive(state):
 @settings(max_examples=300, deadline=None)
 def test_undo_restores_the_state_a_continued_close_changed(csp, system, data):
     state = Closure(csp)
+    # the default step cap reads the live ids from this count
+    assert state.live == sum(state.alive) == len(csp.constraints)
     close(state, system)
+    assert state.live == sum(state.alive)
     mark, ids = len(state.trail), len(state.constraints)
     masks, alive = list(state.masks), _alive(state)
     v = data.draw(st.sampled_from(csp.vars))
     state.restrict(v, data.draw(st.sampled_from((ZERO, ONE))))
+    assert state.live == sum(state.alive)
     close(state, system)
+    assert state.live == sum(state.alive)
     state.undo(mark)
+    assert state.live == sum(state.alive)
     assert len(state.trail) == mark
     assert (state.masks, _alive(state)) == (masks, alive)
     # the ids the steps added are popped again, from every per-id list
