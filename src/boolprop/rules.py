@@ -14,13 +14,13 @@ Whether a constraint is solved depends only on its kind and its own
 domains, so ``_SOLVED`` tabulates it once per kind and domain code.
 That one table decides a rule's ``drops`` and, through it, whether a
 step is relevant.  Each rule set compiles its rules once into a table
-of the rules whose step is relevant at each kind and domain code,
-replacement rules included, so ``close`` and ``closed_under`` look their
-candidates up instead of testing every rule of a constraint's kind, and
-ask nothing else about relevance.  The pass over each kind's
-tuples that builds ``_SOLVED`` also builds ``_UNSUPPORTED``, the values
-that no tuple supports, from which ``consistency`` reads hyper-arc
-consistency without asking the rules.
+of the rule that fires at each kind and domain code, the first one
+whose step is relevant there, replacement rules included, so ``close``
+and ``closed_under`` look it up instead of testing every rule of a
+constraint's kind, and ask nothing else about relevance.  The pass
+over each kind's tuples that builds ``_SOLVED`` also builds
+``_UNSUPPORTED``, the values that no tuple supports, from which
+``consistency`` reads hyper-arc consistency without asking the rules.
 """
 
 from __future__ import annotations
@@ -127,11 +127,11 @@ def rule(
 
 
 class _Entry(NamedTuple):
-    """A rule in its set's table at one domain code of its kind, where
-    its step is relevant."""
+    """The rule that fires at a domain code of its kind, and its index."""
 
     rule: PropagationRule
     moves: tuple[tuple[int, int], ...]  # (role, mask after), for each mask it shrinks
+    index: int
 
 
 @dataclass(frozen=True)
@@ -140,30 +140,32 @@ class RuleSet:
     rules: tuple[PropagationRule, ...]
 
     @cached_property
-    def _table(self) -> dict[ConstraintKind, tuple[dict[int, _Entry], ...]]:
+    def _table(self) -> dict[ConstraintKind, tuple[_Entry | None, ...]]:
         """For each kind and domain code, sum(mask << 2 * role), the
-        entries of the rules whose step is relevant there, by rule index.
+        entry of the first rule whose step is relevant there, or None.
 
         A rule applies at a code when each premise role holds its
         singleton.  Only the domains of the matched constraint's
         variables, that constraint and its replacement differ between
         the CSP and its successor, so a step is relevant exactly when it
         shrinks a mask, drops the constraint while ``_SOLVED`` marks it
-        unsolved, or adds an unsolved replacement.  A rule is listed
-        where one of the first two holds.  Where neither does, a
-        replacement unsolved at its own positions would make relevance
-        depend on whether that replacement is already present, so such
-        a rule raises ValueError.  BOOL' has none: each of its
+        unsolved, or adds an unsolved replacement.  The first rule where
+        one of the first two holds is entered, and only it can fire at
+        that code: its step changes the constraint's code or drops it,
+        and ``close`` tries the lowest rule index first.  Where neither
+        holds, a replacement unsolved at its own positions would make
+        relevance depend on whether that replacement is already present,
+        so such a rule raises ValueError.  BOOL' has none: each of its
         replacements is solved wherever the constraint it replaces is.
 
         Built on first use and kept on this instance, so that a reduced
         set from ``without`` is freed together with its table.
         """
-        table = {kind: [{} for _ in range(4**kind.arity)] for kind in ConstraintKind}
+        table = {kind: [None] * 4**kind.arity for kind in ConstraintKind}
         for index, r in enumerate(self.rules):
             premise_mask = sum(3 << 2 * p for p, _ in r.premise)
             premise_code = sum(1 << v << 2 * p for p, v in r.premise)
-            for code, entries in enumerate(table[r.kind]):
+            for code, cell in enumerate(table[r.kind]):
                 if code & premise_mask != premise_code:
                     continue
                 masks = [code >> 2 * p & 3 for p in range(r.kind.arity)]
@@ -173,7 +175,7 @@ class RuleSet:
                     if masks[p] & 2 >> v
                 )
                 if moves or (r.drops and not _SOLVED[r.kind][code]):
-                    entries[index] = _Entry(r, moves)
+                    table[r.kind][code] = cell or _Entry(r, moves, index)
                 elif r.replacement:
                     kind, ps = r.replacement
                     if not _SOLVED[kind][_code(masks, ps)]:
@@ -181,7 +183,7 @@ class RuleSet:
                             f"{r.name}: relevance at domain code {code} depends on "
                             "whether its replacement is present"
                         )
-        return {kind: tuple(entries) for kind, entries in table.items()}
+        return {kind: tuple(cells) for kind, cells in table.items()}
 
     def by_name(self, rule_name: str) -> PropagationRule:
         for r in self.rules:
@@ -437,7 +439,7 @@ class Closure:
     the matched id, (position, mask before, mask after) triples, whether
     the id was dropped and the id the step added, or -1.  An added id is
     the last one while its entry is on the trail, so ``undo`` pops it
-    again.  ``steps`` renders entries for a trace, and ``csp`` reads the
+    again.  ``steps`` renders rule entries for a trace, and ``csp`` reads the
     current CSP off the state; callers that need neither test the masks
     directly (a failed state has a mask 0).
     """
@@ -505,9 +507,12 @@ class Closure:
         self.trail.append((name, i, moved, dropped, new))
 
     def steps(self, entries: list[tuple]) -> list[CspStep]:
-        """Trail ``entries`` from any ``close`` on this state, as ``CspStep``s."""
+        """The rule steps among trail ``entries`` from any ``close`` on this
+        state, as ``CspStep``s; ``restrict`` entries are skipped."""
         constraints, steps = self.constraints, []
         for name, i, moved, dropped, added in entries:
+            if name is None:
+                continue
             changes = tuple([(self.vars[p], _DOMAIN[b], _DOMAIN[a]) for p, b, a in moved])
             new = (constraints[added],) if added >= 0 else ()
             steps.append(CspStep(name, constraints[i], changes, dropped, new))
@@ -552,20 +557,18 @@ def close(
     that bound, with |C| the live ids at the call as ``Closure.live``
     counts them, and exceeding it raises RuntimeError.
 
-    The work runs on a ``Closure``.  Scanning a constraint looks up the
-    rule set's table at the constraint's kind and domain code and
-    pushes (rule index, constraint key, id) for each entry there.  A
-    popped candidate reads its entry again at the current code and
-    fires if the entry is still there, adding the rule's replacement
-    unless ``Closure.has`` finds it.  So no CSP is built and
-    ``is_reformulation``, the specification, is not asked.
-    A table entry depends only on a constraint's kind and domain code.
+    The work runs on a ``Closure``.  Scanning a constraint pushes (rule
+    index, constraint key, id) for the rule the set's table names at the
+    constraint's kind and domain code, if any.  A popped candidate fires
+    if the table at the current code still names that rule, adding the
+    rule's replacement unless ``Closure.has`` finds it, so no CSP is
+    built and ``is_reformulation``, the specification, is not asked.
     A step changes only the codes of the constraints on the positions
-    whose masks it moved, and adds at most one id, so only the moved
-    positions' constraints and the added id are scanned again; a drop
-    that moves no mask changes no other constraint's entries.  The heap
-    thus holds every relevant application, and its least one that is
-    still relevant is the one the schedule picks.
+    whose masks it moved, and adds at most one id, so only those
+    constraints and the added id are scanned again; a drop that moves
+    no mask changes no other constraint's entry.  The heap thus holds
+    the application each alive constraint's entry names, and its least
+    one still named is the one the schedule picks.
 
     Given a ``Closure``, ``close`` scans only its pending constraints
     and returns it, closed in place, with its steps' trail entries, each
@@ -587,8 +590,8 @@ def close(
     heap: list = []
 
     def scan(i: int) -> None:
-        for index in table[constraints[i].kind][_code(masks, scopes[i])]:
-            heapq.heappush(heap, (index, keys[i], i))
+        if e := table[constraints[i].kind][_code(masks, scopes[i])]:
+            heapq.heappush(heap, (e.index, keys[i], i))
 
     for i in state.pending:
         if alive[i]:
@@ -600,8 +603,8 @@ def close(
         if not alive[i]:
             continue
         c, scope = constraints[i], scopes[i]
-        e = table[c.kind][_code(masks, scope)].get(index)
-        if e is None:
+        e = table[c.kind][_code(masks, scope)]
+        if e is None or e.index != index:
             continue
         if len(trail) - start >= max_steps:
             raise RuntimeError(f"closure exceeded {max_steps} steps; scheduler bug?")

@@ -2,11 +2,13 @@
 
 ``close`` must pick the same steps as the full rescan in
 ``reference.reference_close`` and reach the same CSP; ``closed_under``
-must agree with "no relevant ``apply_rule_csp`` step"; each rule set's
-table of the rules relevant at a domain code, replacement rules
-included, must agree with ``apply_rule_csp`` on every single-constraint
-CSP, empty domains included, and on every state of a replaced
-constraint whose replacement is already present; a rule set whose
+must agree with "no relevant ``apply_rule_csp`` step"; each rule's
+relevance at a domain code, replacement rules included, must agree with
+``apply_rule_csp`` on every single-constraint CSP, empty domains
+included, and on every state of a replaced constraint whose replacement
+is already present, and a rule set's table must name the first
+relevant rule at each code; close must follow the reference under
+reordered and reduced rule sets too; a rule set whose
 replacement rule's relevance would depend on that presence must be
 refused; the solved table must agree with ``is_solved``, and so must
 each rule's ``drops``, read from it; the engine must never ask
@@ -56,6 +58,7 @@ from strategies import csps, every_single_constraint_csp
 
 _K = ConstraintKind
 SYSTEMS = (BOOL, BOOL_PRIME)
+REDUCED = [rs.without(r.name) for rs in SYSTEMS for r in rs.rules]
 
 
 def _assert_same_closure(csp, system):
@@ -89,6 +92,17 @@ def test_close_follows_the_reference_on_seeded_random_csps(system):
     rng = random.Random(f"close:{system.name}")
     for _ in range(1500):
         _assert_same_closure(random_csp(rng, max_vars=7, max_constraints=8), system)
+
+
+def test_close_follows_the_reference_under_reordered_and_reduced_rule_sets():
+    # the rule that fires at a domain code is the first relevant one in
+    # the set's own order, whatever that order is and whichever rules remain
+    systems = [RuleSet(f"{rs.name}-reversed", rs.rules[::-1]) for rs in SYSTEMS]
+    systems += REDUCED
+    rng = random.Random("close:reordered-and-reduced")
+    for k in range(2100):
+        csp = random_csp(rng, max_vars=6, max_constraints=7)
+        _assert_same_closure(csp, systems[k % len(systems)])
 
 
 @given(csps(max_vars=5, max_constraints=6), st.sampled_from(SYSTEMS))
@@ -145,25 +159,35 @@ def test_compiled_rules_agree_with_apply_rule_csp_exhaustively(system):
         kind: 4**kind.arity for kind in ConstraintKind
     }
     for kind, codes in table.items():
-        for entries in codes:
-            assert list(entries) == sorted(entries)
-            for index, e in entries.items():
-                assert e.rule is system.rules[index] and e.rule.kind is kind
+        for e in codes:
+            assert e is None or (e.rule is system.rules[e.index] and e.rule.kind is kind)
+    # each rule's relevance, read from the table of a set of that rule alone
+    singles = [RuleSet(r.name, (r,))._table for r in system.rules]
     for csp in instances + present:
         assert closed_under(csp, system) == (first_relevant(csp, system) is None), csp
         state = Closure(csp)
-        for (i, c), (index, r) in itertools.product(
-            enumerate(state.constraints), enumerate(system.rules)
+        for c in state.constraints:
+            code = _domain_code(csp, c)
+            first = next((i for i, one in enumerate(singles) if one[c.kind][code]), None)
+            # the set's cell is the first relevant rule's entry, under its index
+            if first is None:
+                assert table[c.kind][code] is None, csp
+            else:
+                expected = singles[first][c.kind][code]._replace(index=first)
+                assert table[c.kind][code] == expected, csp
+        for (i, c), (r, one) in itertools.product(
+            enumerate(state.constraints), zip(system.rules, singles)
         ):
             applications = [a for a in apply_rule_csp(r, csp) if a.matched_constraint == c]
             if c.kind != r.kind:
                 assert not applications
                 continue
-            e = table[c.kind][_domain_code(csp, c)].get(index)
-            # listed exactly where the step is relevant, whatever else is present
+            e = one[c.kind][_domain_code(csp, c)]
+            # entered exactly where the step is relevant, whatever else is present
             assert (e is not None) == any(a.relevant for a in applications), (r.name, csp)
             if e is None:
                 continue
+            assert e.rule is r and e.index == 0
             (application,) = applications
             # the moves are that application's domain changes
             moved = {c.vars[p]: _DOMAIN[m] for p, m in e.moves}
@@ -204,13 +228,17 @@ UNSOUND = RuleSet(
 )
 
 
+# ADDS_ONLY behind a rule that fires first wherever "AND 4*" is refused:
+# the check still runs for every rule, not only where a code is still empty.
+SHADOWED = RuleSet("SHADOWED", (rule("AND y*", _K.AND, {0: 0}, {1: 0}), *ADDS_ONLY.rules))
+
+
 def test_a_replacement_rule_whose_relevance_depends_on_presence_is_refused():
-    for system, name in [(ADDS_ONLY, "AND 4*"), (UNSOUND, "AND x")]:
+    for system, name in [(ADDS_ONLY, "AND 4*"), (UNSOUND, "AND x"), (SHADOWED, "AND 4*")]:
         with pytest.raises(ValueError, match=f"^{re.escape(name)}: .*replacement is present"):
             system._table
-    reductions = [rs.without(r.name) for rs in (BOOL, BOOL_PRIME) for r in rs.rules]
-    assert len(reductions) == 40
-    for system in (BOOL, BOOL_PRIME, *reductions):
+    assert len(REDUCED) == 40
+    for system in (*SYSTEMS, *REDUCED):
         assert len(system._table) == len(ConstraintKind), system.name
 
 
@@ -427,6 +455,27 @@ def test_steps_render_an_earlier_slice_after_a_later_replacement():
     assert (step.rule, step.added) == ("OR 2'", (BoolConstraint(_K.EQ, (e, f)),))
 
 
+def test_steps_of_the_trail_are_the_rule_steps_on_the_path():
+    u, v, x, y, z = variables("u v x y z")
+    csp = bcsp(
+        (u, v, x, y, z),
+        {u: ONE},
+        [
+            BoolConstraint(_K.AND, (x, y, z)),
+            BoolConstraint(_K.EQ, (x, y)),
+            BoolConstraint(_K.EQ, (u, v)),
+        ],
+    )
+    state = Closure(csp)
+    first = state.steps(close(state, BOOL)[1])
+    state.restrict(x, ONE)
+    second = state.steps(close(state, BOOL)[1])
+    assert [step.rule for step in first + second] == ["EQU 1", "EQU 1", "AND 1"]
+    # the restriction's entry names no rule and no constraint, so it is skipped
+    assert [entry[0] for entry in state.trail] == ["EQU 1", None, "EQU 1", "AND 1"]
+    assert state.steps(state.trail) == first + second
+
+
 def test_a_dropped_constraint_is_added_again_under_a_new_id():
     # Not sound, but its table is built: "AND 1*" moves z wherever it
     # applies to a solved AND with y = z unsolved, so it is listed there.
@@ -467,7 +516,7 @@ def test_compiled_rules_are_freed_with_their_rule_set():
     assert [step.rule for step in close(csp, reduced)[1]] == ["AND 4"]
     # the table is the reduced set's own, and only the set holds it
     table = vars(reduced)["_table"]
-    names = {e.rule.name for codes in table.values() for es in codes for e in es.values()}
+    names = {e.rule.name for codes in table.values() for e in codes if e}
     assert "AND 1" not in names and "AND 4" in names
     assert table != BOOL._table
     holders = gc.get_referrers(table)
