@@ -11,6 +11,12 @@ boundary: a store-level rule application becomes at most four unit steps
 on the translated clause set, and a unit step becomes at most three rule
 applications on translated stores, up to a redundant remainder that
 semantically follows from the result.
+
+``Clause`` and ``UnitStep`` are ``NamedTuple`` values, as the model's
+variables, literals and constraints are, so hashing and equality run in
+C.  Each hashes as the tuple of its fields, as the frozen dataclasses
+they replace did, so set orders, traces and outputs are unchanged.  A
+``Clause`` therefore also equals the 1-tuple of its frozenset.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from boolprop.model import (
     BoolConstraint,
@@ -54,14 +60,28 @@ class SimulationError(RuntimeError):
     """A cross-formalism replay failed; this signals a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of distinct literals; empty means contradiction."""
-
+class _ClauseFields(NamedTuple):
     literals: frozenset[Literal]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "literals", frozenset(self.literals))
+
+class Clause(_ClauseFields):
+    """A disjunction of distinct literals; empty means contradiction.
+
+    The literals are kept as a frozenset whichever iterable is given,
+    also through ``_make`` and ``_replace``.  Like any tuple of one
+    field, even the empty clause is truthy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, literals: Iterable[Literal]) -> Clause:
+        return tuple.__new__(cls, (frozenset(literals),))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Clause:
+        # the NamedTuple base builds through tuple.__new__, skipping the
+        # frozenset above; its ``_replace`` builds through this method
+        return cls(*fields)
 
     @property
     def is_unit(self) -> bool:
@@ -147,8 +167,7 @@ def constraints_to_clauses(s: ConstraintStore) -> ClauseSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitStep:
+class UnitStep(NamedTuple):
     """One unit-propagation step as a delta: the target clause is deleted
     and, for a resolution, replaced by its remainder (None otherwise)."""
 
@@ -209,6 +228,11 @@ def unit_propagate(
     clauses, so once no resolution is left the remaining steps are the
     subsumptions available then, taken in order.
 
+    Every literal a step touches occurs in the input, so each literal's
+    complement and sort key are computed once, before the first step, and
+    each clause's sort key is built from them once, when it is first
+    pushed.
+
     Each step deletes a clause or a literal occurrence, so the default
     cap is the number of clauses plus the sum of their lengths; going
     past any cap is a bug and raises RuntimeError.
@@ -220,16 +244,24 @@ def unit_propagate(
     for c in cs:
         for lit in c.literals:
             occurs.setdefault(lit, set()).add(c)
+    comp = {lit: lit.negated() for lit in occurs}
+    lit_key = {lit: literal_sort_key(lit) for lit in occurs}
+
+    @functools.cache
+    def key(c: Clause) -> tuple:
+        # clause_sort_key: no two literals share a key, so sorting the
+        # keys sorts the literals
+        return (len(c.literals), tuple(sorted([lit_key[l] for l in c.literals])))
+
     units = {c.unit_literal for c in cs if c.is_unit}
-    key = functools.cache(clause_sort_key)  # once per clause
     heap: list[tuple] = []
     tiebreak = itertools.count()
 
     def push(u: Literal, t: Clause) -> None:
-        heapq.heappush(heap, (literal_sort_key(u), key(t), next(tiebreak), u, t))
+        heapq.heappush(heap, (lit_key[u], key(t), next(tiebreak), u, t))
 
     for u in units:
-        for t in occurs.get(u.negated(), ()):
+        for t in occurs.get(comp[u], ()):
             push(u, t)
     trace: list[UnitStep] = []
 
@@ -245,25 +277,26 @@ def unit_propagate(
         *_, u, t = heapq.heappop(heap)
         if t not in live:
             continue
-        r = Clause(t.literals - {u.negated()})
+        r = Clause(t.literals - {comp[u]})
         record(UnitStep(RESOLVE, u, t, r))
         if r in live:
             continue
         live.add(r)
         for lit in r.literals:
-            occurs.setdefault(lit, set()).add(r)
-            if lit.negated() in units:
-                push(lit.negated(), r)
-        if r.is_unit:
-            units.add(r.unit_literal)
-            for c in occurs.get(r.unit_literal.negated(), ()):
-                push(r.unit_literal, c)
+            occurs[lit].add(r)
+            if comp[lit] in units:
+                push(comp[lit], r)
+        if len(r.literals) == 1:
+            (lit,) = r.literals
+            units.add(lit)
+            for c in occurs.get(comp[lit], ()):
+                push(lit, c)
     if EMPTY_CLAUSE not in live:
         subsumptions = sorted(
-            (literal_sort_key(u), key(t), next(tiebreak), u, t)
+            (lit_key[u], key(t), next(tiebreak), u, t)
             for u in units
-            for t in occurs.get(u, ())
-            if not t.is_unit
+            for t in occurs[u]
+            if len(t.literals) > 1
         )
         for *_, u, t in subsumptions:
             if t in live:
@@ -633,9 +666,14 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     highest literal.  The clause count must be a number but is not
     enforced.  A line starting with ``%`` ends the input, as in the
     SATLIB files that close with ``%`` and a lone ``0``.
+
+    The first pass reads each clause line into ints with one ``map``, so
+    a bad token anywhere is reported before a literal above a header
+    that may come later.  The second pass reads each literal from a
+    table built once per variable, which holds no key above the count.
     """
     declared: int | None = None
-    tokens: list[tuple[int, int]] = []  # (line number, literal)
+    lines: list[tuple[int, list[int]]] = []  # (line number, its ints)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -654,29 +692,38 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
                 raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
             continue
-        for tok in stripped.split():
-            try:
-                tokens.append((lineno, int(tok)))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
+        tokens = stripped.split()
+        try:
+            lines.append((lineno, list(map(int, tokens))))
+        except ValueError:
+            for tok in tokens:
+                try:
+                    int(tok)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
     if declared is None:
-        declared = max((abs(t) for _, t in tokens), default=0)
+        declared = max((max(map(abs, ints)) for _, ints in lines), default=0)
     vars = tuple(Variable(f"x{i+1}", i) for i in range(declared))
+    literal_of = {
+        sign * (v.index + 1): Literal(v, sign > 0) for v in vars for sign in (1, -1)
+    }
     clauses = set()
     acc: list[Literal] = []
-    for lineno, t in tokens:
-        if abs(t) > declared:
-            raise ValueError(
-                f"line {lineno}: literal {t} exceeds the {declared} variables "
-                "of the p cnf line"
-            )
-        if t == 0:
-            clauses.add(Clause(frozenset(acc)))
-            acc = []
-        else:
-            acc.append(Literal(vars[abs(t) - 1], t > 0))
+    try:
+        for lineno, ints in lines:
+            for t in ints:
+                if t:
+                    acc.append(literal_of[t])
+                else:
+                    clauses.add(Clause(acc))
+                    acc = []
+    except KeyError as exc:
+        raise ValueError(
+            f"line {lineno}: literal {exc.args[0]} exceeds the {declared} variables "
+            "of the p cnf line"
+        ) from None
     if acc:  # unterminated final clause
-        clauses.add(Clause(frozenset(acc)))
+        clauses.add(Clause(acc))
     return frozenset(clauses), vars
 
 

@@ -317,13 +317,11 @@ def store(*items: BoolConstraint | Literal) -> ConstraintStore:
 
 def store_variables(s: ConstraintStore) -> tuple[Variable, ...]:
     """Variables of a store in first-occurrence (canonical) order."""
-    seen: dict[Variable, None] = {}
-    for item in s.items():
-        if isinstance(item, BoolConstraint):
-            for v in item.vars:
-                seen.setdefault(v)
-        else:
-            seen.setdefault(item.var)
+    # the order of ``s.items()``, walked as its two sorted parts
+    seen = dict.fromkeys(
+        v for c in sorted(s.constraints, key=constraint_sort_key) for v in c.vars
+    )
+    seen.update(dict.fromkeys(l.var for l in sorted(s.literals, key=literal_sort_key)))
     return tuple(seen)
 
 

@@ -18,6 +18,13 @@ available unit steps with ``unit_step``, takes the first and rebuilds
 the clause set.  The library keeps an occurrence index and a heap of
 pending resolutions and must take the same steps.
 
+``reference_parse_dimacs`` is the specification of
+``boolprop.clauses.parse_dimacs``: one ``int`` call and one
+``Literal`` per token, and the clauses cut at the zeros of one list of
+every token of the file.  The library converts a line with one ``map``
+and reads literals from a table built once per variable; the two must
+give the same clause set and variables, or the same error.
+
 ``reference_translate_clause_set`` is the specification of
 ``boolprop.clauses.translate_clause_set``: it sorts the clauses with
 ``clause_sort_key``, translates each with ``trans_clause`` into a store
@@ -152,6 +159,53 @@ def reference_unit_propagate(
         rest = sets[-1] - {step.target}
         sets.append(rest | {step.remainder} if step.op == RESOLVE else rest)
     return sets, trace
+
+
+def reference_parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
+    declared: int | None = None
+    tokens: list[tuple[int, int]] = []  # (line number, literal)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("%"):
+            break
+        if stripped.startswith("p"):
+            fields = stripped.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
+            if declared is not None:
+                raise ValueError(f"line {lineno}: second p cnf line")
+            if not fields[2].isdecimal():
+                raise ValueError(f"line {lineno}: bad variable count")
+            if not fields[3].isdecimal():
+                raise ValueError(f"line {lineno}: bad clause count")
+            declared = int(fields[2])
+            continue
+        for tok in stripped.split():
+            try:
+                tokens.append((lineno, int(tok)))
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
+    if declared is None:
+        declared = max((abs(t) for _, t in tokens), default=0)
+    vars = tuple(Variable(f"x{i+1}", i) for i in range(declared))
+    clauses = set()
+    acc: list[Literal] = []
+    for lineno, t in tokens:
+        if abs(t) > declared:
+            raise ValueError(
+                f"line {lineno}: literal {t} exceeds the {declared} variables "
+                "of the p cnf line"
+            )
+        if t == 0:
+            clauses.add(Clause(frozenset(acc)))
+            acc = []
+        else:
+            acc.append(Literal(vars[abs(t) - 1], t > 0))
+    if acc:  # unterminated final clause
+        clauses.add(Clause(frozenset(acc)))
+    return frozenset(clauses), vars
 
 
 def reference_translate_clause_set(

@@ -15,6 +15,7 @@ from boolprop.clauses import (
     Clause,
     FreshVarSource,
     SimulationError,
+    UnitStep,
     _check_redundant,
     apply_unit_step,
     clause,
@@ -54,6 +55,7 @@ from boolprop import cli
 from boolprop.rules import BOOL, apply_rule_store
 from reference import (
     clause_set_satisfied,
+    reference_parse_dimacs,
     reference_semantically_follows,
     reference_translate_clause_set,
     semantically_follows,
@@ -63,6 +65,50 @@ from reference import (
 from strategies import clause_sets, stores
 
 X, Y, Z = variables("x y z")
+
+
+# ---------------------------------------------------------------------------
+# clause values
+# ---------------------------------------------------------------------------
+
+
+def test_clause_values_hash_as_their_fields():
+    # the hash of the frozen dataclasses these replace: set orders,
+    # and so every trace and output, depend on it
+    lits = [pos(X), neg(Y)]
+    assert hash(Clause(lits)) == hash((frozenset(lits),))
+    fields = (RESOLVE, neg(X), clause(pos(X), neg(Y)), clause(neg(Y)))
+    assert hash(UnitStep(*fields)) == hash(fields)
+    for cls in (Clause, UnitStep):
+        assert not dataclasses.is_dataclass(cls)
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+
+
+def test_clause_holds_a_frozenset_however_built():
+    # the NamedTuple base's _make and _replace skip __new__ unless
+    # Clause routes them through it
+    built = [
+        Clause([pos(X), neg(Y), pos(X)]),
+        Clause(literals=iter([neg(Y), pos(X)])),
+        Clause._make([[pos(X), neg(Y)]]),
+        clause(pos(Z))._replace(literals=[neg(Y), pos(X)]),
+    ]
+    for c in built:
+        assert type(c) is Clause and type(c.literals) is frozenset
+        assert c == clause(pos(X), neg(Y))
+    with pytest.raises(TypeError):
+        Clause._make([])
+    with pytest.raises(AttributeError):
+        clause(pos(X)).literals = frozenset()
+    with pytest.raises(AttributeError):
+        clause(pos(X)).extra = None
+
+
+def test_clause_is_a_one_tuple():
+    # a NamedTuple equals the plain tuple of its fields, and a tuple of
+    # one field is truthy even when that field is empty
+    assert clause(pos(X)) == (frozenset({pos(X)}),)
+    assert EMPTY_CLAUSE and not EMPTY_CLAUSE.literals
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +729,7 @@ def test_dimacs_roundtrip():
 def test_dimacs_rejects_garbage():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf x y\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 1: bad literal 'two'$"):
         parse_dimacs("1 two 0\n")
 
 
@@ -716,6 +762,73 @@ def test_dimacs_header_bounds_the_literals():
 def test_dimacs_rejects_a_second_header():
     with pytest.raises(ValueError, match="line 3: second p cnf line"):
         parse_dimacs("p cnf 2 1\nc widen\np cnf 5 1\n1 5 0\n")
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+DIMACS_EDGES = [
+    "",
+    "c comment only\n",
+    "c x\n\n1 -2 0\n   \nc y\n2 0\n",
+    "p cnf 3 2\n1\t-2\t0\n\t3  0\t\n",
+    "1 2 0\n-3 0\n",
+    "0\n0\n",
+    "1 -2 0\np cnf 3 1\n",
+    "1 -4 0\np cnf 3 1\n",
+    "p cnf 2 2\n1 2 0\n-1 0\n%\n0\n",
+    "p cnf 2 1\n1 -2 0\n2 -1",
+    "p cnf 2 1\n1 -0 2 0\n",
+    "p cnf 2 1\n+2 -1 0\n",
+    "p cnf 10 1\n1_0 0\n",
+    "p cnf 2 1\n1 x 0\n",
+    "p cnf 2 3\n1 0 -2 0 2\n1 0\n",
+    "p cnf 1 2\n2 0\n1 x 0\n",
+    "p cnf 1 1\np cnf 1 1\n",
+    "p cnf 2\n",
+]
+
+
+@pytest.mark.parametrize("text", DIMACS_EDGES)
+def test_dimacs_parser_matches_the_reference_on_edges(text):
+    assert _parsed(parse_dimacs, text) == _parsed(reference_parse_dimacs, text)
+
+
+def test_dimacs_bad_token_wins_over_an_earlier_literal_above_the_header():
+    # every token is read before any literal is checked against the count
+    with pytest.raises(ValueError, match="^line 3: bad literal 'x'$"):
+        parse_dimacs("p cnf 1 2\n2 0\n1 x 0\n")
+
+
+def _random_dimacs(rng):
+    n = rng.randint(0, 5)
+    pool = ["0", "0", "-0", f"+{n or 1}", str(n + 1)]
+    pool += [str(sign * v) for v in range(1, n + 1) for sign in (1, -1)] * 3
+    lines = [rng.choices(pool, k=rng.randint(1, 6)) for _ in range(rng.randint(0, 8))]
+    if lines and rng.random() < 0.25:
+        bad = rng.choice(lines)
+        bad.insert(rng.randint(0, len(bad)), rng.choice(["x", "1.5", "--1"]))
+    lines = [rng.choice(" \t").join(tokens) for tokens in lines]
+    for extra in ("c note", "", "%", f"p cnf {n} 4", f"p cnf {n + 1} 1"):
+        if rng.random() < (0.6 if extra.startswith(f"p cnf {n} ") else 0.1):
+            lines.insert(rng.randint(0, len(lines)), extra)
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_dimacs_parser_matches_the_reference_on_random_texts():
+    rng = random.Random(24)
+    texts = [_random_dimacs(rng) for _ in range(600)]
+    parsed = 0
+    for text in texts:
+        got = _parsed(parse_dimacs, text)
+        assert got == _parsed(reference_parse_dimacs, text), text
+        parsed += not isinstance(got, str)
+    # both the parsed and the rejected path are exercised
+    assert 100 < parsed < 500
 
 
 def test_translate_clause_set_is_deterministic():

@@ -170,6 +170,19 @@ def test_store_variables_order():
     assert store_variables(s) == (Z, Y, X)
 
 
+@given(stores(max_vars=5, max_literals=8))
+@settings(max_examples=200)
+def test_store_variables_follow_the_canonical_items(s):
+    # store_variables walks the sorted constraints and literals directly;
+    # items() is the canonical order it must keep
+    expected = []
+    for item in s.items():
+        for v in item.vars if isinstance(item, BoolConstraint) else (item.var,):
+            if v not in expected:
+                expected.append(v)
+    assert store_variables(s) == tuple(expected)
+
+
 @given(stores(max_vars=4))
 @settings(max_examples=150)
 def test_store_translation_preserves_satisfaction(s):
