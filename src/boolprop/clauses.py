@@ -25,8 +25,7 @@ import functools
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from boolprop.model import (
     BoolConstraint,
@@ -100,7 +99,7 @@ class Clause(_ClauseFields):
 
 
 def clause(*literals: Literal) -> Clause:
-    return Clause(frozenset(literals))
+    return Clause(literals)
 
 
 EMPTY_CLAUSE = Clause(frozenset())
@@ -109,7 +108,9 @@ ClauseSet = frozenset  # of Clause
 
 
 def clause_sort_key(c: Clause) -> tuple:
-    return (len(c.literals), tuple(literal_sort_key(l) for l in c.ordered()))
+    """The length, then the literal keys in order: no two literals share
+    a key, so sorting the keys sorts the literals."""
+    return (len(c.literals), tuple(sorted(map(literal_sort_key, c.literals))))
 
 
 def clause_set_variables(cs: ClauseSet) -> tuple[Variable, ...]:
@@ -249,16 +250,14 @@ def unit_propagate(
 
     @functools.cache
     def key(c: Clause) -> tuple:
-        # clause_sort_key: no two literals share a key, so sorting the
-        # keys sorts the literals
+        # clause_sort_key, from the literal keys above
         return (len(c.literals), tuple(sorted([lit_key[l] for l in c.literals])))
 
     units = {c.unit_literal for c in cs if c.is_unit}
     heap: list[tuple] = []
-    tiebreak = itertools.count()
 
     def push(u: Literal, t: Clause) -> None:
-        heapq.heappush(heap, (lit_key[u], key(t), next(tiebreak), u, t))
+        heapq.heappush(heap, (lit_key[u], key(t), u, t))
 
     for u in units:
         for t in occurs.get(comp[u], ()):
@@ -274,7 +273,7 @@ def unit_propagate(
             occurs[lit].discard(step.target)
 
     while heap and EMPTY_CLAUSE not in live:
-        *_, u, t = heapq.heappop(heap)
+        _, _, u, t = heapq.heappop(heap)
         if t not in live:
             continue
         r = Clause(t.literals - {comp[u]})
@@ -293,12 +292,12 @@ def unit_propagate(
                 push(lit, c)
     if EMPTY_CLAUSE not in live:
         subsumptions = sorted(
-            (lit_key[u], key(t), next(tiebreak), u, t)
+            (lit_key[u], key(t), u, t)
             for u in units
             for t in occurs[u]
             if len(t.literals) > 1
         )
-        for *_, u, t in subsumptions:
+        for _, _, u, t in subsumptions:
             if t in live:
                 record(UnitStep(SUBSUME, u, t, None))
     return frozenset(live), trace
@@ -314,36 +313,21 @@ def format_unit_step(step: UnitStep) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FreshVarSource:
-    """Hands out fresh variables that collide with nothing already in use."""
-
-    used_names: set[str]
-    next_index: int
-    counter: int = 0
-
-    @classmethod
-    def avoiding(cls, vars: Iterable[Variable]) -> FreshVarSource:
-        vs = list(vars)
-        return cls(
-            used_names={v.name for v in vs},
-            next_index=max((v.index for v in vs), default=-1) + 1,
-        )
-
-    def fresh(self) -> Variable:
-        while True:
-            name = f"_t{self.counter}"
-            self.counter += 1
-            if name not in self.used_names:
-                break
-        self.used_names.add(name)
-        v = Variable(name, self.next_index)
-        self.next_index += 1
-        return v
+def fresh_variables(vars: Iterable[Variable]) -> Iterator[Variable]:
+    """Fresh helpers ``_t0``, ``_t1``, ... skipping the names of ``vars``,
+    indexed consecutively from one past their highest index."""
+    vs = list(vars)
+    used = {v.name for v in vs}
+    index = max((v.index for v in vs), default=-1) + 1
+    for k in itertools.count():
+        name = f"_t{k}"
+        if name not in used:
+            yield Variable(name, index)
+            index += 1
 
 
 def _chain(
-    lits: Sequence[Literal], fresh: FreshVarSource, target: Variable | None = None
+    lits: Sequence[Literal], fresh: Iterator[Variable], target: Variable | None = None
 ) -> tuple[list[BoolConstraint], Variable]:
     """Constraints asserting ``target = (disjunction of lits)``, consuming
     the literals in the given order, and the target (a fresh root when
@@ -353,12 +337,12 @@ def _chain(
     """
     if not lits:
         raise ValueError("cannot translate the empty clause")
-    root = fresh.fresh() if target is None else target
+    root = next(fresh) if target is None else target
     chain: list[BoolConstraint] = []
     out = root
     for lit in lits[:-1]:
-        head = lit.var if lit.positive else fresh.fresh()
-        y = fresh.fresh()
+        head = lit.var if lit.positive else next(fresh)
+        y = next(fresh)
         if not lit.positive:
             chain.append(notc(lit.var, head))
         chain.append(orc(head, y, out))
@@ -368,7 +352,7 @@ def _chain(
     return chain, root
 
 
-def trans_clause(q: Clause, fresh: FreshVarSource) -> ConstraintStore:
+def trans_clause(q: Clause, fresh: Iterator[Variable]) -> ConstraintStore:
     """A store equisatisfiable with the clause (unit -> its literal,
     otherwise a fresh root variable asserted true)."""
     if q.is_unit:
@@ -387,15 +371,11 @@ def translate_clause_set(
     """
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
-    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals}.union(declared))
+    fresh = fresh_variables({l.var for c in cs for l in c.literals}.union(declared))
     constraints: list[BoolConstraint] = []
     literals: list[Literal] = []
-    # trans_clause on each clause in clause_sort_key order, with each
-    # clause's ordered literals and sort key computed once
-    for lits in sorted(
-        (sorted(c.literals, key=literal_sort_key) for c in cs),
-        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
-    ):
+    for c in sorted(cs, key=clause_sort_key):
+        lits = c.ordered()
         if len(lits) == 1:
             literals.append(lits[0])
         else:
@@ -519,7 +499,7 @@ def simulate_unit_by_bool(
     if step.op == SUBSUME and step.target.is_unit:
         raise ValueError("a unit clause is never a subsumption target")
     phi2 = apply_unit_step(phi1, step)
-    fresh = FreshVarSource.avoiding({l.var for q in phi1 for l in q.literals})
+    fresh = fresh_variables({l.var for q in phi1 for l in q.literals})
     u = step.unit
     selected = u.negated() if step.op == RESOLVE else u
 

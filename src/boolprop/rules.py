@@ -1,14 +1,16 @@
 """Executable propagation rules: the BOOL and BOOL' systems.
 
-A rule pairs a constraint kind with premise assignments (role position ->
-required value) and a conclusion, which is either further assignments or,
-in the primed system, one replacement constraint.  Rules act in two
-interpretations: on constraint stores (premise literals present -> add
-conclusion literals) and on CSPs (premise domains are the matching
-singletons -> intersect conclusion domains).  Both interpretations drop
-the matched constraint exactly when the premise plus conclusion pin it
-down to a solved relation; every rule of BOOL does, the four split rules
-of BOOL' (AND 3'/6', OR 4'/6') do not and keep the constraint instead.
+BOOL' is BOOL with eight AND and OR rules replaced by primed ones, each
+at its namesake's index.  A rule pairs a constraint kind with premise
+assignments (role position -> required value) and a conclusion, which
+is either further assignments or, in four primed rules, one replacement
+constraint.  Rules act in two interpretations: on constraint stores
+(premise literals present -> add conclusion literals) and on CSPs
+(premise domains are the matching singletons -> intersect conclusion
+domains).  Both interpretations drop the matched constraint exactly
+when the premise plus conclusion pin it down to a solved relation;
+every rule of BOOL does, the four split rules of BOOL' (AND 3'/6',
+OR 4'/6') do not and keep the constraint instead.
 
 Whether a constraint is solved depends only on its kind and its own
 domains, so ``_SOLVED`` tabulates it once per kind and domain code.
@@ -200,21 +202,17 @@ class RuleSet:
 
 _K = ConstraintKind
 
-_EQ_NOT_RULES = (
-    rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
-    rule("EQU 2", _K.EQ, {1: 1}, {0: 1}),
-    rule("EQU 3", _K.EQ, {0: 0}, {1: 0}),
-    rule("EQU 4", _K.EQ, {1: 0}, {0: 0}),
-    rule("NOT 1", _K.NOT, {0: 1}, {1: 0}),
-    rule("NOT 2", _K.NOT, {0: 0}, {1: 1}),
-    rule("NOT 3", _K.NOT, {1: 1}, {0: 0}),
-    rule("NOT 4", _K.NOT, {1: 0}, {0: 1}),
-)
-
 BOOL = RuleSet(
     "BOOL",
-    _EQ_NOT_RULES
-    + (
+    (
+        rule("EQU 1", _K.EQ, {0: 1}, {1: 1}),
+        rule("EQU 2", _K.EQ, {1: 1}, {0: 1}),
+        rule("EQU 3", _K.EQ, {0: 0}, {1: 0}),
+        rule("EQU 4", _K.EQ, {1: 0}, {0: 0}),
+        rule("NOT 1", _K.NOT, {0: 1}, {1: 0}),
+        rule("NOT 2", _K.NOT, {0: 0}, {1: 1}),
+        rule("NOT 3", _K.NOT, {1: 1}, {0: 0}),
+        rule("NOT 4", _K.NOT, {1: 0}, {0: 1}),
         rule("AND 1", _K.AND, {0: 1, 1: 1}, {2: 1}),
         rule("AND 2", _K.AND, {0: 1, 2: 0}, {1: 0}),
         rule("AND 3", _K.AND, {1: 1, 2: 0}, {0: 0}),
@@ -230,24 +228,20 @@ BOOL = RuleSet(
     ),
 )
 
-BOOL_PRIME = RuleSet(
-    "BOOL_PRIME",
-    _EQ_NOT_RULES
-    + (
+_PRIMED = {
+    r.name[:-1]: r
+    for r in (
         rule("AND 1'", _K.AND, {0: 1}, {}, (_K.EQ, (1, 2))),
         rule("AND 2'", _K.AND, {1: 1}, {}, (_K.EQ, (0, 2))),
         rule("AND 3'", _K.AND, {2: 1}, {0: 1}),
-        rule("AND 4", _K.AND, {0: 0}, {2: 0}),
-        rule("AND 5", _K.AND, {1: 0}, {2: 0}),
         rule("AND 6'", _K.AND, {2: 1}, {1: 1}),
-        rule("OR 1", _K.OR, {0: 1}, {2: 1}),
         rule("OR 2'", _K.OR, {0: 0}, {}, (_K.EQ, (1, 2))),
         rule("OR 3'", _K.OR, {1: 0}, {}, (_K.EQ, (0, 2))),
         rule("OR 4'", _K.OR, {2: 0}, {0: 0}),
-        rule("OR 5", _K.OR, {1: 1}, {2: 1}),
         rule("OR 6'", _K.OR, {2: 0}, {1: 0}),
-    ),
-)
+    )
+}
+BOOL_PRIME = RuleSet("BOOL_PRIME", tuple(_PRIMED.get(r.name, r) for r in BOOL.rules))
 
 _BUILTIN = {
     "BOOL": BOOL,
@@ -311,10 +305,10 @@ def _firings(
     """
     matches = [
         c
-        for c in sorted(constraints, key=constraint_sort_key)
+        for c in constraints
         if c.kind == r.kind and all(holds(c.vars[p], v) for p, v in r.premise)
     ]
-    for c in matches:
+    for c in sorted(matches, key=constraint_sort_key):
         after = set(constraints)
         if r.drops:
             after.discard(c)
@@ -436,12 +430,12 @@ class Closure:
     ``occurs`` lists its ids, dropped ones too.
     ``pending`` holds the ids the next ``close`` must scan.  A trail
     entry is a whole step: the rule's name (None for a ``restrict``),
-    the matched id, (position, mask before, mask after) triples, whether
-    the id was dropped and the id the step added, or -1.  An added id is
-    the last one while its entry is on the trail, so ``undo`` pops it
-    again.  ``steps`` renders rule entries for a trace, and ``csp`` reads the
-    current CSP off the state; callers that need neither test the masks
-    directly (a failed state has a mask 0).
+    the matched id, (position, mask before, mask after) triples in role
+    order, whether the id was dropped and the id the step added, or -1.
+    An added id is the last one while its entry is on the trail, so
+    ``undo`` pops it again.  ``steps`` renders rule entries for a trace,
+    and ``csp`` reads the current CSP off the state; callers that need
+    neither test the masks directly (a failed state has a mask 0).
     """
 
     def __init__(self, csp: BooleanCSP) -> None:
@@ -513,7 +507,9 @@ class Closure:
         for name, i, moved, dropped, added in entries:
             if name is None:
                 continue
-            changes = tuple([(self.vars[p], _DOMAIN[b], _DOMAIN[a]) for p, b, a in moved])
+            changes = tuple(
+                [(self.vars[p], _DOMAIN[b], _DOMAIN[a]) for p, b, a in sorted(moved)]
+            )
             new = (constraints[added],) if added >= 0 else ()
             steps.append(CspStep(name, constraints[i], changes, dropped, new))
         return steps
@@ -614,7 +610,7 @@ def close(
             s = tuple([scope[p] for p in ps])
             if not state.has(kind, s):
                 added = BoolConstraint(kind, tuple([c.vars[p] for p in ps])), s
-        moved = sorted([(scope[p], masks[scope[p]], m) for p, m in e.moves])
+        moved = [(scope[p], masks[scope[p]], m) for p, m in e.moves]
         state._apply(r.name, i, moved, r.drops, added)
         rescan = {j for p, _, _ in moved for j in occurs[p] if alive[j]}
         if added:

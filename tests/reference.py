@@ -60,17 +60,17 @@ from __future__ import annotations
 
 import itertools
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from boolprop.clauses import (
     EMPTY_CLAUSE,
     RESOLVE,
     Clause,
     ClauseSet,
-    FreshVarSource,
     UnitStep,
     _chain,
     clause_sort_key,
+    fresh_variables,
     trans_clause,
     unit_step,
 )
@@ -213,7 +213,7 @@ def reference_translate_clause_set(
 ) -> ConstraintStore:
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")
-    fresh = FreshVarSource.avoiding({l.var for c in cs for l in c.literals}.union(declared))
+    fresh = fresh_variables({l.var for c in cs for l in c.literals}.union(declared))
     constraints, literals = set(), set()
     for c in sorted(cs, key=clause_sort_key):
         part = trans_clause(c, fresh)
@@ -327,7 +327,7 @@ def clause_set_satisfied(cs: ClauseSet, valuation: Mapping[Variable, int]) -> bo
 
 
 def trans_clause_eq(
-    q: Clause, target: Variable, fresh: FreshVarSource
+    q: Clause, target: Variable, fresh: Iterator[Variable]
 ) -> ConstraintStore:
     """Constraints expressing that ``target`` equals the clause's value.
 

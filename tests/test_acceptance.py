@@ -13,10 +13,10 @@ from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.clauses import (
     RESOLVE,
     SUBSUME,
-    FreshVarSource,
     apply_unit_step,
     clause_set_variables,
     constraints_to_clauses,
+    fresh_variables,
     minimal_matching_store,
     random_clause_set,
     simulate_bool_by_unit,
@@ -223,7 +223,7 @@ def test_criterion_7_translation_soundness():
         cs = random_clause_set(rng, max_vars=5, max_clauses=1, max_len=4)
         (q,) = cs
         clauses_checked += 1
-        fresh = FreshVarSource.avoiding(clause_set_variables(cs))
+        fresh = fresh_variables(clause_set_variables(cs))
         translated = trans_clause(q, fresh)
         t_vars = store_variables(translated)
         q_vars = sorted({l.var for l in q.literals}, key=lambda v: v.index)

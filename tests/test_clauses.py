@@ -13,7 +13,6 @@ from boolprop.clauses import (
     RESOLVE,
     SUBSUME,
     Clause,
-    FreshVarSource,
     SimulationError,
     UnitStep,
     _check_redundant,
@@ -23,6 +22,7 @@ from boolprop.clauses import (
     constraints_to_clauses,
     format_dimacs,
     format_unit_step,
+    fresh_variables,
     minimal_matching_store,
     parse_dimacs,
     random_clause_set,
@@ -58,6 +58,7 @@ from reference import (
     reference_parse_dimacs,
     reference_semantically_follows,
     reference_translate_clause_set,
+    reference_unit_propagate,
     semantically_follows,
     store_satisfied,
     trans_clause_eq,
@@ -240,7 +241,7 @@ def test_empty_clause_in_fixpoint_implies_unsatisfiable(cs):
 
 
 def test_trans_unit_clauses():
-    fresh = FreshVarSource.avoiding([X, Y, Z])
+    fresh = fresh_variables([X, Y, Z])
     assert trans_clause_eq(clause(pos(X)), Z, fresh) == store(eqc(X, Z))
     assert trans_clause_eq(clause(neg(X)), Z, fresh) == store(notc(X, Z))
     assert trans_clause(clause(pos(X)), fresh) == store(pos(X))
@@ -248,7 +249,7 @@ def test_trans_unit_clauses():
 
 def test_trans_positive_pair():
     x1, x2 = variables("x1 x2")
-    fresh = FreshVarSource.avoiding([x1, x2])
+    fresh = fresh_variables([x1, x2])
     z, = variables("z", start=10)
     result = trans_clause_eq(clause(pos(x1), pos(x2)), z, fresh)
     (y,) = [v for v in store_variables(result) if v.name.startswith("_t")]
@@ -256,7 +257,7 @@ def test_trans_positive_pair():
 
 
 def test_trans_negative_head_introduces_two_fresh_vars():
-    fresh = FreshVarSource.avoiding([X, Y, Z])
+    fresh = fresh_variables([X, Y, Z])
     result = trans_clause_eq(clause(neg(X), pos(Y)), Z, fresh)
     helpers = [v for v in store_variables(result) if v.name.startswith("_t")]
     assert len(helpers) == 2
@@ -266,7 +267,7 @@ def test_trans_negative_head_introduces_two_fresh_vars():
 
 def test_trans_clause_non_unit_adds_root_literal():
     x1, x2 = variables("x1 x2")
-    fresh = FreshVarSource.avoiding([x1, x2])
+    fresh = fresh_variables([x1, x2])
     result = trans_clause(clause(pos(x1), pos(x2)), fresh)
     roots = [l for l in result.literals]
     assert len(roots) == 1 and roots[0].positive
@@ -274,12 +275,12 @@ def test_trans_clause_non_unit_adds_root_literal():
 
 
 def test_trans_rejects_empty_clause():
-    fresh = FreshVarSource.avoiding([X])
+    fresh = fresh_variables([X])
     with pytest.raises(ValueError):
         trans_clause(EMPTY_CLAUSE, fresh)
     with pytest.raises(ValueError):
         trans_clause_eq(EMPTY_CLAUSE, X, fresh)
-    assert fresh.counter == 0  # rejected before any fresh variable is drawn
+    assert next(fresh).name == "_t0"  # rejected before any fresh variable is drawn
 
 
 def test_trans_clause_chain_order_is_pinned():
@@ -287,7 +288,7 @@ def test_trans_clause_chain_order_is_pinned():
     (negative literals only) before the OR's second input, so names and
     ``translate --to-bcn`` output stay fixed."""
     a, b, c, d = variables("a b c d")
-    fresh = FreshVarSource.avoiding([a, b, c, d])
+    fresh = fresh_variables([a, b, c, d])
     t = variables([f"_t{i}" for i in range(6)], start=4)
     result = trans_clause(clause(neg(a), pos(b), neg(c), pos(d)), fresh)
     assert result == store(
@@ -299,14 +300,18 @@ def test_trans_clause_chain_order_is_pinned():
         eqc(d, t[5]),
         pos(t[0]),
     )
-    assert fresh.counter == 6
+    assert next(fresh) == Variable("_t6", 10)
 
 
 def test_fresh_variables_avoid_collisions():
     taken = variables(["_t0", "_t1", "a"])
-    fresh = FreshVarSource.avoiding(taken)
-    v = fresh.fresh()
+    fresh = fresh_variables(taken)
+    v = next(fresh)
     assert v.name == "_t2" and v.index == 3
+    # every draw skips the names in use, and indices run on without gaps
+    fresh = fresh_variables(variables(["_t0", "_t2", "a"]))
+    drawn = (next(fresh), next(fresh), next(fresh))
+    assert drawn == variables(["_t1", "_t3", "_t4"], start=3)
 
 
 @given(clause_sets(max_vars=4, max_clauses=1, max_len=4))
@@ -314,7 +319,7 @@ def test_fresh_variables_avoid_collisions():
 def test_clause_equivalent_to_projected_translation(cs):
     """A clause holds exactly when its translation extends to a model."""
     (q,) = cs
-    fresh = FreshVarSource.avoiding(clause_set_variables(cs))
+    fresh = fresh_variables(clause_set_variables(cs))
     translated = trans_clause(q, fresh)
     t_vars = store_variables(translated)
     q_vars = sorted({l.var for l in q.literals}, key=lambda v: v.index)
@@ -335,8 +340,8 @@ def test_clause_equivalent_to_projected_translation(cs):
 @settings(max_examples=100)
 def test_trans_clause_eq_is_always_satisfiable(cs):
     (q,) = cs
-    fresh = FreshVarSource.avoiding(clause_set_variables(cs))
-    target = fresh.fresh()
+    fresh = fresh_variables(clause_set_variables(cs))
+    target = next(fresh)
     translated = trans_clause_eq(q, target, fresh)
     t_vars = store_variables(translated)
     assert any(
@@ -351,8 +356,8 @@ def test_trans_of_six_literal_clause_extends_any_base_valuation(signs):
     clause's own variables, up to the six-literal bound."""
     vars6 = variables([f"q{i}" for i in range(6)])
     q = clause(*(Literal(v, bool(s)) for v, s in zip(vars6, signs)))
-    fresh = FreshVarSource.avoiding(vars6)
-    target = fresh.fresh()
+    fresh = fresh_variables(vars6)
+    target = next(fresh)
     translated = trans_clause_eq(q, target, fresh)
     helpers = [v for v in store_variables(translated) if v not in vars6]
     for base_values in itertools.product((0, 1), repeat=6):
@@ -632,7 +637,7 @@ def test_consequence_check_rejects_what_it_cannot_prove(redundant, s2, reason):
 
 def test_consequence_check_accepts_a_definitional_chain():
     (h, r) = variables("h r", start=40)
-    fresh = FreshVarSource.avoiding([X, Y, h, r])
+    fresh = fresh_variables([X, Y, h, r])
     chain = trans_clause_eq(clause(pos(X), neg(Y)), h, fresh)
     _check_redundant(chain, store(eqc(X, Y)))
     # h is entailed through the result's own x | y, which BOOL closure
@@ -883,6 +888,42 @@ def test_translation_matches_the_per_clause_union_on_planted_3cnfs(seed):
         assert is_failed(csp) == failed
         if failed:
             assert csp.vars[-1].name == "_false" and not csp.domains[csp.vars[-1]]
+
+
+def test_translation_helpers_skip_the_names_in_use():
+    """Helpers skip the clause and declared variables' names, which DIMACS
+    files (x1..xn) never collide with, and are numbered after both."""
+    t0, t1 = variables(["_t0", "_t1"])
+    t3 = Variable("_t3", 5)
+    cs = frozenset({clause(pos(t0), neg(t1)), clause(neg(t0))})
+    h2, h4 = Variable("_t2", 6), Variable("_t4", 7)
+    expected = store(orc(t0, h4, h2), notc(t1, h4), pos(h2), neg(t0))
+    assert translate_clause_set(cs, [t3]) == expected
+    assert reference_translate_clause_set(cs, [t3]) == expected
+
+
+def _clause_set_with_repeats(rng, max_vars=5, max_clauses=8, max_len=4):
+    """A clause set whose clauses draw their literals with replacement, so
+    that tautologies like ``x | -x`` occur, as DIMACS allows."""
+    vs = variables([f"x{i+1}" for i in range(rng.randint(1, max_vars))])
+
+    def literals():
+        for _ in range(rng.randint(1, max_len)):
+            yield Literal(rng.choice(vs), rng.random() < 0.5)
+
+    return frozenset(clause(*literals()) for _ in range(rng.randint(1, max_clauses)))
+
+
+def test_tautological_clauses_propagate_and_translate_as_the_references():
+    rng = random.Random(3)
+    tautologies = 0
+    for _ in range(2_000):
+        cs = _clause_set_with_repeats(rng)
+        tautologies += any(l.negated() in c.literals for c in cs for l in c.literals)
+        sets, trace = reference_unit_propagate(cs)
+        assert unit_propagate(cs) == (sets[-1], trace)
+        assert translate_clause_set(cs) == reference_translate_clause_set(cs)
+    assert tautologies > 1_000
 
 
 def test_translation_rejects_the_empty_clause():

@@ -65,6 +65,21 @@ def test_bool_prime_structure():
     assert and1.replacement == (ConstraintKind.EQ, (1, 2))
 
 
+def test_bool_prime_is_bool_with_eight_primed_rules():
+    """At each of BOOL's 20 positions BOOL' holds BOOL's own rule object,
+    or, at exactly eight, a rule named after it with a prime."""
+    assert len(BOOL_PRIME.rules) == 20
+    primed = [
+        b.name for b, p in zip(BOOL.rules, BOOL_PRIME.rules)
+        if p is not b and p.name == b.name + "'"
+    ]
+    assert primed == [
+        "AND 1", "AND 2", "AND 3", "AND 6", "OR 2", "OR 3", "OR 4", "OR 6"
+    ]
+    shared = [b for b, p in zip(BOOL.rules, BOOL_PRIME.rules) if p is b]
+    assert len(shared) == 12
+
+
 def test_and6_shape():
     and6 = BOOL.by_name("AND 6")
     assert dict(and6.premise) == {2: 1}
