@@ -113,12 +113,8 @@ def clause_sort_key(c: Clause) -> tuple:
     return (len(c.literals), tuple(sorted(map(literal_sort_key, c.literals))))
 
 
-def clause_set_variables(cs: ClauseSet) -> tuple[Variable, ...]:
-    seen: dict[Variable, None] = {}
-    for c in sorted(cs, key=clause_sort_key):
-        for lit in c.ordered():
-            seen.setdefault(lit.var)
-    return tuple(seen)
+def clause_set_variables(cs: ClauseSet) -> set[Variable]:
+    return {lit.var for c in cs for lit in c.literals}
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +706,9 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
 def format_dimacs(cs: ClauseSet, vars: Sequence[Variable]) -> str:
     """Write DIMACS CNF with a comment block mapping indices to names."""
     number = {v: i + 1 for i, v in enumerate(vars)}
-    for v in clause_set_variables(cs):
-        if v not in number:
-            raise ValueError(f"clause variable {v} missing from the sequence")
+    missing = sorted(v.name for v in clause_set_variables(cs) - number.keys())
+    if missing:
+        raise ValueError(f"clause variables missing from the sequence: {' '.join(missing)}")
     lines = [f"c {number[v]} {v.name}" for v in vars]
     lines.append(f"p cnf {len(vars)} {len(cs)}")
     for c in sorted(cs, key=clause_sort_key):

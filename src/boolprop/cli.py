@@ -43,6 +43,7 @@ from boolprop.model import (
 )
 from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
+    SYSTEMS,
     Closure,
     PropagationRule,
     builtin_ruleset,
@@ -226,7 +227,7 @@ def _parser() -> argparse.ArgumentParser:
     def add_system(p):
         p.add_argument(
             "--system",
-            choices=["bool", "bool-prime"],
+            choices=list(SYSTEMS),
             default="bool",
             help="rule system to propagate with (default: bool)",
         )
@@ -248,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--hyper-arc", action="store_true", default=True)
     group.add_argument("--limited", action="store_true")
-    group.add_argument("--closed-under", choices=["bool", "bool-prime"])
+    group.add_argument("--closed-under", choices=list(SYSTEMS))
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen-rules", help="derive the minimal rules from the tables")

@@ -70,7 +70,8 @@ def truth_table(kind: ConstraintKind) -> frozenset[tuple[int, ...]]:
 
 
 class Variable(NamedTuple):
-    """A named Boolean variable; ``index`` is its declaration position."""
+    """A named Boolean variable.  ``index`` gives the canonical order; it is
+    the declaration position only for ``.bcn`` input and ``variables(...)``."""
 
     name: str
     index: int
@@ -171,9 +172,7 @@ def constraint_sort_key(c: BoolConstraint) -> tuple:
 
 
 def as_domain(value) -> Domain:
-    """Normalise 1 / (0,1) / iterables / None into a domain frozenset."""
-    if value is None:
-        return FULL
+    """Normalise 1 / (0,1) / iterables into a domain frozenset."""
     if isinstance(value, frozenset) and value <= FULL:
         return value
     if isinstance(value, int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from boolprop.model import ConstraintKind, truth_table
 from boolprop.rules import BOOL, PropagationRule, RuleSet
@@ -106,11 +106,6 @@ def minimal_rules(table: ConstraintTable) -> frozenset[CandidateRule]:
         if is_feasible(r, table)
         and not any(other != r and implies(other, r) for other in valid)
     )
-
-
-def check_complete(rs: Iterable[CandidateRule], table: ConstraintTable) -> bool:
-    """True iff the given rules are exactly the minimal rules of the table."""
-    return frozenset(rs) == minimal_rules(table)
 
 
 # ---------------------------------------------------------------------------

@@ -243,20 +243,15 @@ _PRIMED = {
 }
 BOOL_PRIME = RuleSet("BOOL_PRIME", tuple(_PRIMED.get(r.name, r) for r in BOOL.rules))
 
-_BUILTIN = {
-    "BOOL": BOOL,
-    "BOOL_PRIME": BOOL_PRIME,
-    "bool": BOOL,
-    "bool-prime": BOOL_PRIME,
-}
+SYSTEMS = {"bool": BOOL, "bool-prime": BOOL_PRIME}  # the CLI's names, in its order
 
 
 def builtin_ruleset(name: str) -> RuleSet:
     try:
-        return _BUILTIN[name]
+        return SYSTEMS[name]
     except KeyError:
         raise ValueError(
-            f"unknown rule system {name!r} (expected bool or bool-prime)"
+            f"unknown rule system {name!r} (expected {' or '.join(SYSTEMS)})"
         ) from None
 
 

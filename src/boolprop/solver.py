@@ -4,12 +4,12 @@ Splitting is depth-first in declaration order, trying 1 before 0, over
 an explicit stack, so search depth is not bounded by the Python stack.
 The search keeps one ``Closure`` for all its branches: a branch
 restricts its split variable, propagates from that variable's
-constraints only, reads its step count and failure off the trail
-entries ``close`` returns, and is undone through the trail on
-backtrack.  A closed non-failed CSP with all domains singleton is a
-solution (closure makes every constraint supported at every domain
-value), so search stops there; the model is re-checked against the
-input CSP's domains and constraints as a guard against engine bugs.
+constraints only, has failed when a domain mask is empty, and is
+undone through the trail on backtrack.  A closed non-failed CSP with
+all domains singleton is a solution (closure makes every constraint
+supported at every domain value), so search stops there; the model is
+re-checked against the input CSP's domains and constraints as a guard
+against engine bugs.
 """
 
 from __future__ import annotations
@@ -86,11 +86,7 @@ def solve(
         max_depth = max(max_depth, depth)
         if trace is not None:
             trace.extend(state.steps(steps))
-        if index < 0:
-            failed = 0 in masks
-        else:  # from a closed, non-failed parent: only its steps can fail it
-            failed = any(not after for _, _, moved, _, _ in steps for _, _, after in moved)
-        if failed:
+        if 0 in masks:
             conflicts += 1
             continue
         # the variables before the parent's split variable were already

@@ -43,6 +43,10 @@ def test_malformed_lines_are_errors():
         parse_bcn("var x\ndom x 2\n")
     with pytest.raises(BcnError, match="redeclared"):
         parse_bcn("var x x\n")
+    with pytest.raises(BcnError, match="^line 2: var needs at least one name$"):
+        parse_bcn("var x\nvar\n")
+    with pytest.raises(BcnError, match="^line 2: dom needs a name and a domain$"):
+        parse_bcn("var x\ndom x\n")
     with pytest.raises(BcnError):
         parse_bcn("var x y z\nand x y\n")
 

@@ -731,6 +731,14 @@ def test_dimacs_roundtrip():
     assert again == cs
 
 
+def test_format_dimacs_names_the_missing_clause_variables_sorted():
+    cs, vars = parse_dimacs("p cnf 4 2\n4 -1 0\n2 3 0\n")
+    with pytest.raises(
+        ValueError, match="^clause variables missing from the sequence: x1 x3 x4$"
+    ):
+        format_dimacs(cs, [vars[1]])
+
+
 def test_dimacs_rejects_garbage():
     with pytest.raises(ValueError):
         parse_dimacs("p cnf x y\n")

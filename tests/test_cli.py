@@ -2,9 +2,11 @@ import sys
 
 import pytest
 
-from boolprop import cli
+from boolprop import cli, clauses, consistency, rulegen
 from boolprop.cli import run_command
-from boolprop.model import BooleanCSP
+from boolprop.model import BooleanCSP, ConstraintKind, bcsp, eqc, variables
+from boolprop.rulegen import ConstraintTable
+from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
 
 
 @pytest.fixture
@@ -41,6 +43,13 @@ def test_solve_dimacs(cnf, capsys):
     out = capsys.readouterr().out
     assert "status: SAT" in out
     assert "model: x1=" in out
+
+
+def test_solve_dimacs_without_a_header_line(tmp_path, capsys):
+    f = tmp_path / "bare.cnf"
+    f.write_text("1 -2 0\n2 0\n")
+    assert run_command(["solve", str(f)]) == 0
+    assert "model: x1=1 x2=1\n" in capsys.readouterr().out
 
 
 def test_solve_dimacs_with_empty_clause(tmp_path, capsys):
@@ -360,6 +369,58 @@ def test_verify_reports_a_failed_replay_as_a_failed_check(monkeypatch, capsys):
     assert "2 instances checked, 2 counterexamples" in out and "replay broke" in out
 
 
+@pytest.mark.parametrize(
+    "theorem, checked",
+    [("reduction2", 932), ("bool-prime", 1144), ("characterization", 1072)],
+)
+def test_verify_without_a_budget_uses_the_sweeps_default(theorem, checked, capsys):
+    assert run_command(["verify", "--theorem", theorem]) == 0
+    assert f": {checked} instances checked, 0 counterexamples" in capsys.readouterr().out
+
+
+_X, _Y = variables("x y")
+_AND_4_COPY = rule("AND 4 copy", ConstraintKind.AND, {0: 0}, {2: 0})
+_EQU_X = rule("EQU X", ConstraintKind.EQ, {0: 1}, {1: 0})  # not valid
+
+
+def _raise_simulation_error(s1, step):
+    raise clauses.SimulationError("replay broke")
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, theorem, line",
+    [
+        (consistency, "BOOL", BOOL.without("AND 1"), "characterization",
+         "var x y z; dom x 1; dom y 1; and x y z: closed=True, hyper-arc=False"),
+        (consistency, "BOOL", RuleSet("BOOL", (*BOOL.rules, _AND_4_COPY)),
+         "characterization", "AND 4: no counterexample after removal"),
+        (consistency, "BOOL_PRIME", RuleSet("BOOL_PRIME", (*BOOL_PRIME.rules, _EQU_X)),
+         "bool-prime", "var x y; dom x 1; dom y 1; eq x y: limited + hyper-arc but not closed"),
+        (consistency, "problematic_csps", lambda: (bcsp((_X, _Y), {_X: 1, _Y: 0}, [eqc(_X, _Y)]),),
+         "bool-prime", "var x y; dom x 1; dom y 0; eq x y: problematic CSP not hyper-arc"),
+        (consistency, "BOOL_PRIME", BOOL, "bool-prime",
+         "var x y z; dom x 1; and x y z: problematic CSP closed under BOOL'"),
+        (rulegen, "BOOL", BOOL.without("AND 4"), "completeness",
+         "and: missing [], extra ['p0 = 0 -> p2 = 0']"),
+        (rulegen, "connective_table", lambda kind: ConstraintTable(kind.arity, frozenset()),
+         "completeness", "expected 20 rules in total, generated 0"),
+        (clauses, "apply_rule_store", lambda r, s: [], "reduction1",
+         "EQU 1: expected one application, got 0"),
+        (clauses, "simulate_bool_by_unit", _raise_simulation_error, "reduction1",
+         "OR 6: replay broke"),
+    ],
+    ids=["characterization", "rule-necessity", "bool-prime-ii", "bool-prime-iii-hyper-arc",
+         "bool-prime-iii-closed", "completeness", "completeness-total", "reduction1-apply",
+         "reduction1-replay"],
+)
+def test_every_sweep_can_report_a_counterexample(
+    monkeypatch, capsys, module, name, broken, theorem, line
+):
+    monkeypatch.setattr(module, name, broken)
+    assert run_command(["verify", "--theorem", theorem, "--budget", "0"]) == 3
+    assert f"\n  {line}\n" in capsys.readouterr().out
+
+
 def test_verify_budget_zero_checks_no_random_instances(capsys):
     assert run_command(["verify", "--theorem", "reduction2", "--budget", "0"]) == 0
     assert "reduction-to-rules: 0 instances checked" in capsys.readouterr().out
@@ -379,6 +440,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert run_command(["solve", "/nonexistent/file.bcn"]) == 2
+
+
+def test_internal_error_exit_code(example, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setattr(cli, "close", broken)
+    assert run_command(["propagate", example]) == 1
+    assert capsys.readouterr().err == "internal error: engine bug\n"
 
 
 def test_usage_error_exit_code(capsys):

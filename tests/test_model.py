@@ -332,6 +332,8 @@ def test_as_domain_keeps_a_domain_frozenset():
     assert as_domain([1, 0]) == FULL and as_domain(1) == ONE
     with pytest.raises(ValueError, match=r"^domain members must be 0 or 1, got \[0, 2\]$"):
         as_domain(frozenset({0, 2}))
+    with pytest.raises(TypeError):
+        as_domain(None)
 
 
 @given(stores(max_vars=5, max_literals=8))

@@ -42,12 +42,14 @@ SEED_1 = {
     "verify": "57fbaaa1ba2394c9b8b36defae68b0c17d76d7b22b729a69c1f8bafd0e300ec4",
     "clauses": "5922c13326dd43d2cf46586183be286aa5001c4824c395d526face5b8fe669cd",
     "reductions": "cb85b71a062797e1508f1694ecf3504e9647a98651fc7ddbd08e524759ec6637",
+    "cli": "ce66245b39387d9feb3cc09b7e7d95428a6f653072aca5fbca9c3b33e33fd65e",
 }
 
 
 def test_seed_1_digests_are_pinned():
     script = _script()
-    assert [*script.workloads.WORKLOADS, "reductions"] == list(SEED_1)
+    assert [*script.workloads.WORKLOADS, "reductions", "cli"] == list(SEED_1)
     digests = {name: script.digest(name, 1) for name in script.workloads.WORKLOADS}
     digests["reductions"] = script.reductions_digest(1)
+    digests["cli"] = script.cli_digest(1)
     assert digests == SEED_1

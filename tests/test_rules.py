@@ -113,9 +113,9 @@ def test_a_malformed_replacement_is_refused_at_construction(replacement):
 def test_builtin_ruleset_lookup():
     assert builtin_ruleset("bool") is BOOL
     assert builtin_ruleset("bool-prime") is BOOL_PRIME
-    assert builtin_ruleset("BOOL_PRIME") is BOOL_PRIME
-    with pytest.raises(ValueError):
-        builtin_ruleset("resolution")
+    for name in ("BOOL", "BOOL_PRIME", "resolution"):
+        with pytest.raises(ValueError, match=r"expected bool or bool-prime\)$"):
+            builtin_ruleset(name)
 
 
 def test_every_bool_rule_discharges_its_constraint():
