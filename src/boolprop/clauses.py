@@ -41,7 +41,6 @@ from boolprop.model import (
     pos,
     store,
     store_to_csp,
-    store_variables,
     variables,
 )
 from boolprop.reports import SweepReport
@@ -459,7 +458,7 @@ def _check_redundant(redundant: ConstraintStore, s2: ConstraintStore) -> None:
     assuming the others: BOOL closure of the result, the constraints, the
     free literals and the literal's complement must fail.
     """
-    s2_vars = set(store_variables(s2))
+    s2_vars = {v for c in s2.constraints for v in c.vars}.union(l.var for l in s2.literals)
     defined = {c.vars[-1]: c for c in redundant.constraints}
     if len(defined) < len(redundant.constraints) or not s2_vars.isdisjoint(defined):
         raise SimulationError("redundant constraints share or reuse defined variables")

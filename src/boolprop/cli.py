@@ -39,7 +39,6 @@ from boolprop.model import (
     neg,
     pos,
     store_to_csp,
-    store_variables,
 )
 from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
@@ -79,14 +78,18 @@ def _looks_like_dimacs(text: str) -> bool:
 
 def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
     """The CSP of a DIMACS file through the standard clause-to-constraint
-    translation, and the clause variables in declaration order."""
+    translation, and the clause variables in declaration order.
+
+    It declares ``x1..xn``, then the helpers as drawn (numbered on from
+    ``n``), then ``_false`` for an empty clause, so each index is the
+    declaration position, and search never branches on a helper: BOOL
+    fixes each one from the variables before it.
+    """
     clauses, clause_vars = parse_dimacs(text)
     s = translate_clause_set(clauses - {EMPTY_CLAUSE}, clause_vars)
-    vars = store_variables(s)
-    # variables mentioned in no clause stay unconstrained; only this
-    # small set, not one of every variable, lives on through store_to_csp
-    unmentioned = set(clause_vars).difference(vars)
-    vars += tuple(v for v in clause_vars if v in unmentioned)
+    by_index = dict(enumerate(clause_vars))
+    by_index.update((v.index, v) for c in s.constraints for v in c.vars)
+    vars = tuple(by_index[i] for i in range(len(by_index)))
     if EMPTY_CLAUSE in clauses:  # the empty clause: fail the CSP outright
         false_var = Variable("_false", len(vars))
         vars += (false_var,)

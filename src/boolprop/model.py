@@ -71,7 +71,8 @@ def truth_table(kind: ConstraintKind) -> frozenset[tuple[int, ...]]:
 
 class Variable(NamedTuple):
     """A named Boolean variable.  ``index`` gives the canonical order; it is
-    the declaration position only for ``.bcn`` input and ``variables(...)``."""
+    the declaration position for every CSP the CLI builds, from ``.bcn`` or
+    DIMACS input, and for ``variables(...)``."""
 
     name: str
     index: int

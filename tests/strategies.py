@@ -4,6 +4,7 @@ test modules."""
 from __future__ import annotations
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -28,6 +29,19 @@ def every_single_constraint_csp():
         c = BoolConstraint(kind, vars)
         for doms in itertools.product((frozenset(),) + NONEMPTY_DOMAINS, repeat=kind.arity):
             yield bcsp(vars, dict(zip(vars, doms)), [c])
+
+
+def random_cnf_text(n, seed, ratio=3.5, lengths=(2, 3, 4)):
+    """Seeded random DIMACS CNF over x1..xn with round(ratio * n)
+    clauses, each of a length drawn from ``lengths`` over distinct
+    variables, each negated on a coin flip."""
+    rng = random.Random(seed)
+    m = round(ratio * n)
+    lines = []
+    for _ in range(m):
+        vs = rng.sample(range(1, n + 1), rng.choice(lengths))
+        lines.append(" ".join(str(v if rng.random() < 0.5 else -v) for v in vs))
+    return f"p cnf {n} {m}\n" + "".join(f"{line} 0\n" for line in lines)
 
 
 def _vars(n):

@@ -3,10 +3,12 @@ import sys
 import pytest
 
 from boolprop import cli, clauses, consistency, rulegen
+from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.cli import run_command
 from boolprop.model import BooleanCSP, ConstraintKind, bcsp, eqc, variables
 from boolprop.rulegen import ConstraintTable
 from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
+from strategies import random_cnf_text
 
 
 @pytest.fixture
@@ -271,9 +273,9 @@ def test_dimacs_input_is_checked_as_one_csp(monkeypatch):
     assert built == [csp]
     assert [v.name for v in clause_vars] == ["x1", "x2", "x3"]
     names = [v.name for v in csp.vars]
-    assert names == ["x1", "_t1", "x2", "_t2", "_t0", "x3", "_false"]
+    assert names == ["x1", "x2", "x3", "_t0", "_t1", "_t2", "_false"]
     assert [sorted(csp.domains[v]) for v in csp.vars] == [
-        [0, 1], [0, 1], [0, 1], [0, 1], [1], [0, 1], []
+        [0, 1], [0, 1], [0, 1], [1], [0, 1], [0, 1], []
     ]
     assert sorted(map(str, csp.constraints)) == [
         "eq x2 _t2", "not x1 _t1", "or _t1 _t2 _t0"
@@ -281,16 +283,45 @@ def test_dimacs_input_is_checked_as_one_csp(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text", ["p cnf 3 2\n-1 2 0\n0\n", "p cnf 6 2\n-2 4 0\n1 -4 0\n", "p cnf 4 1\n0\n"]
+    "text",
+    [
+        "p cnf 3 2\n-1 2 0\n0\n",
+        "p cnf 6 2\n-2 4 0\n1 -4 0\n",
+        "p cnf 4 1\n0\n",
+        "-3 1 0\n2 -1 3 0\n",  # no p cnf line
+        *(
+            pytest.param(random_cnf_text(n, seed), id=f"random-n{n}-seed{seed}")
+            for n, seed in [(5, 1), (12, 2), (25, 3)]
+        ),
+    ],
 )
 def test_dimacs_variable_indices_are_distinct_declaration_positions(text):
-    # helpers are numbered after every declared variable, mentioned or not
+    # x1..xn, then the helpers as drawn, then _false: each index is the
+    # variable's position, so the .bcn that translate prints reads back
+    # as the same CSP
     csp, clause_vars = cli._dimacs_csp(text)
-    indices = [v.index for v in csp.vars]
-    assert len(set(indices)) == len(indices)
-    assert [v.index for v in clause_vars] == list(range(len(clause_vars)))
-    helpers = [v.index for v in csp.vars if v not in clause_vars]
-    assert min(helpers) == len(clause_vars)
+    assert [v.index for v in csp.vars] == list(range(len(csp.vars)))
+    assert csp.vars[: len(clause_vars)] == clause_vars
+    assert parse_bcn(format_bcn(csp)) == csp
+
+
+@pytest.mark.parametrize("command", ["solve", "propagate"])
+@pytest.mark.parametrize("system", ["bool", "bool-prime"])
+def test_dimacs_and_its_translation_run_alike(tmp_path, capsys, command, system):
+    # the .bcn that translate prints is the CSP the .cnf file loads as, so
+    # traces, counts and closed CSPs agree; only a model names other variables
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(random_cnf_text(10, 4))
+    assert run_command(["translate", "--to-bcn", str(cnf)]) == 0
+    bcn = tmp_path / "f.bcn"
+    bcn.write_text(capsys.readouterr().out)
+    outputs = []
+    for f in (cnf, bcn):
+        run_command([command, "--trace", "--system", system, str(f)])
+        lines = capsys.readouterr().out.splitlines()
+        outputs.append([line for line in lines if not line.startswith("model:")])
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 3
 
 
 def test_comment_only_dimacs_is_an_empty_cnf(tmp_path, capsys):

@@ -38,11 +38,11 @@ def test_reductions_digest_repeats_and_covers_the_sets_hashed():
 # the seed-1 digests `scripts/output_digest.py --seed 1` prints
 SEED_1 = {
     "propagate": "6549aea3cf45fd36dca876f5f8828e251575cc800efd84552f0a2751a8c4b7a9",
-    "solve": "1111f10c92b9d74302fe6bc0b455c5e2a7d63559d72318e6eb3dae470611b71d",
+    "solve": "bb083cc2b947f81ba36ec5072bbf0371815022e29ab6817d12c09235728a64c0",
     "verify": "57fbaaa1ba2394c9b8b36defae68b0c17d76d7b22b729a69c1f8bafd0e300ec4",
-    "clauses": "5922c13326dd43d2cf46586183be286aa5001c4824c395d526face5b8fe669cd",
+    "clauses": "584dce04c2045d626ebf2cff8a9e4d70d5e886b661990a201df371299f0c1dca",
     "reductions": "cb85b71a062797e1508f1694ecf3504e9647a98651fc7ddbd08e524759ec6637",
-    "cli": "ce66245b39387d9feb3cc09b7e7d95428a6f653072aca5fbca9c3b33e33fd65e",
+    "cli": "8805888b96b556b129b74ddb3b7397d1beddf06f80793287c6640730d868e123",
 }
 
 

@@ -24,7 +24,7 @@ from boolprop.model import (
 from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
 from boolprop.solver import SAT, UNSAT, solve
 from reference import reference_solve
-from strategies import csps
+from strategies import csps, random_cnf_text
 
 X, Y, Z = variables("x y z")
 
@@ -159,10 +159,10 @@ def _random_3cnf(n, seed=1):
 @pytest.mark.parametrize(
     "n, system, expected",
     [
-        (20, BOOL, (SAT, 38, 7130, 31, 11)),
-        (20, BOOL_PRIME, (SAT, 38, 8970, 31, 11)),
-        (30, BOOL, (SAT, 150, 45076, 141, 21)),
-        (30, BOOL_PRIME, (SAT, 150, 55851, 141, 21)),
+        (20, BOOL, (SAT, 17, 2926, 13, 8)),
+        (20, BOOL_PRIME, (SAT, 17, 3654, 13, 8)),
+        (30, BOOL, (SAT, 57, 17601, 53, 9)),
+        (30, BOOL_PRIME, (SAT, 57, 22136, 53, 9)),
     ],
     ids=lambda x: getattr(x, "name", None),
 )
@@ -182,17 +182,14 @@ def test_search_schedule_on_seeded_3cnfs(n, system, expected):
 @pytest.mark.parametrize(
     "system, pushes, lookups",
     [
-        pytest.param(BOOL, 7823, 19938, id="BOOL"),
-        pytest.param(BOOL_PRIME, 9900, 23543, id="BOOL_PRIME"),
+        pytest.param(BOOL, 3177, 8339, id="BOOL"),
+        pytest.param(BOOL_PRIME, 4011, 9778, id="BOOL_PRIME"),
     ],
 )
 def test_scan_work_on_a_seeded_3cnf(monkeypatch, system, pushes, lookups):
     # a step rescans the constraints on the positions it moved and the id
-    # it added; rescanning the whole scope of a dropped constraint made
-    # 33 593 pushes and 54 162 lookups under BOOL, 39 233 and 62 524 under BOOL'.
-    # A scan pushes only the rule that fires at the code; pushing every
-    # relevant rule there made 8 211 pushes (same lookups) under BOOL,
-    # 10 690 and 23 551 under BOOL'
+    # it added, and a scan pushes only the rule that fires at the code;
+    # a wider rescan or push would raise these counts
     counts = {"push": 0, "code": 0}
 
     def push(heap, item):
@@ -209,3 +206,33 @@ def test_scan_work_on_a_seeded_3cnf(monkeypatch, system, pushes, lookups):
     monkeypatch.setattr(rules, "_code", code)
     solve(_dimacs_csp(_random_3cnf(20))[0], system)
     assert (counts["push"], counts["code"]) == (pushes, lookups)
+
+
+@pytest.mark.parametrize("system", [BOOL, BOOL_PRIME], ids=lambda s: s.name)
+def test_search_never_splits_on_a_translation_helper(monkeypatch, system):
+    # each helper is an OR/NOT/EQ output of earlier variables, fixed by
+    # propagation once the clause variables before it are
+    branched = []
+    restrict = rules.Closure.restrict
+
+    def recording(self, var, value):
+        branched.append(var)
+        return restrict(self, var, value)
+
+    monkeypatch.setattr(rules.Closure, "restrict", recording)
+    splits = 0
+    for n in (8, 15, 25):
+        for seed in range(4):
+            text = random_cnf_text(n, seed)
+            csp, clause_vars = _dimacs_csp(text)
+            branched.clear()
+            result = solve(csp, system)
+            splits += result.split_count
+            assert set(branched) <= set(clause_vars)
+            if result.status == SAT:
+                model = result.model.as_dict()
+                clauses, _ = parse_dimacs(text)
+                assert all(
+                    any(model[l.var] == l.positive for l in c.literals) for c in clauses
+                )
+    assert splits > 0
