@@ -362,7 +362,10 @@ def translate_clause_set(
     """Translate each clause separately, in canonical clause order.
 
     Helper variables are named and numbered after the clause variables
-    and the ``declared`` ones, so they share no index with either.
+    and the ``declared`` ones, so they share no index with either.  When
+    ``d`` holds every clause variable, the CSP
+    ``store_to_csp(translate_clause_set(cs, d), d)`` lists ``d`` by index,
+    then the helpers as they were drawn.
     """
     if EMPTY_CLAUSE in cs:
         raise ValueError("cannot translate a clause set containing the empty clause")

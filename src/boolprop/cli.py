@@ -80,22 +80,21 @@ def _dimacs_csp(text: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
     """The CSP of a DIMACS file through the standard clause-to-constraint
     translation, and the clause variables in declaration order.
 
-    It declares ``x1..xn``, then the helpers as drawn (numbered on from
-    ``n``), then ``_false`` for an empty clause, so each index is the
-    declaration position, and search never branches on a helper: BOOL
-    fixes each one from the variables before it.
+    ``store_to_csp`` lists the variables by index: ``x1..xn``, then the
+    helpers as drawn (numbered on from ``n``), then ``_false`` for an
+    empty clause, so each index is the declaration position, and search
+    never branches on a helper: BOOL fixes each one from the variables
+    before it.
     """
     clauses, clause_vars = parse_dimacs(text)
     s = translate_clause_set(clauses - {EMPTY_CLAUSE}, clause_vars)
-    by_index = dict(enumerate(clause_vars))
-    by_index.update((v.index, v) for c in s.constraints for v in c.vars)
-    vars = tuple(by_index[i] for i in range(len(by_index)))
     if EMPTY_CLAUSE in clauses:  # the empty clause: fail the CSP outright
-        false_var = Variable("_false", len(vars))
-        vars += (false_var,)
+        # indexed by the count of distinct variables, so it is listed last
+        count = len(set(clause_vars).union(*(c.vars for c in s.constraints)))
+        false_var = Variable("_false", count)
         contradiction = {pos(false_var), neg(false_var)}  # an empty domain
         s = ConstraintStore(s.constraints, s.literals | contradiction)
-    return store_to_csp(s, vars), clause_vars
+    return store_to_csp(s, clause_vars), clause_vars
 
 
 def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:

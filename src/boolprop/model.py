@@ -28,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Domain = frozenset  # subset of {0, 1}
@@ -70,9 +71,10 @@ def truth_table(kind: ConstraintKind) -> frozenset[tuple[int, ...]]:
 
 
 class Variable(NamedTuple):
-    """A named Boolean variable.  ``index`` gives the canonical order; it is
-    the declaration position for every CSP the CLI builds, from ``.bcn`` or
-    DIMACS input, and for ``variables(...)``."""
+    """A named Boolean variable.  ``index`` gives the canonical order: the
+    order in which ``store_to_csp`` lists variables, and the declaration
+    position for every CSP the CLI builds, from ``.bcn`` or DIMACS input,
+    and for ``variables(...)``."""
 
     name: str
     index: int
@@ -315,16 +317,6 @@ def store(*items: BoolConstraint | Literal) -> ConstraintStore:
     return ConstraintStore(frozenset(cons), frozenset(lits))
 
 
-def store_variables(s: ConstraintStore) -> tuple[Variable, ...]:
-    """Variables of a store in first-occurrence (canonical) order."""
-    # the order of ``s.items()``, walked as its two sorted parts
-    seen = dict.fromkeys(
-        v for c in sorted(s.constraints, key=constraint_sort_key) for v in c.vars
-    )
-    seen.update(dict.fromkeys(l.var for l in sorted(s.literals, key=literal_sort_key)))
-    return tuple(seen)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -389,31 +381,22 @@ def equivalent(a: BooleanCSP, b: BooleanCSP) -> bool:
     return solutions(a) == solutions(b)
 
 
-def store_to_csp(
-    s: ConstraintStore, vars: Sequence[Variable] | None = None
-) -> BooleanCSP:
-    """Interpret a store as a CSP.
+def store_to_csp(s: ConstraintStore, declared: Iterable[Variable] = ()) -> BooleanCSP:
+    """Interpret a store as a CSP over the ``declared`` variables and the
+    store's own, listed by index, then name.
 
     Per variable: no literal -> {0,1}; positive -> {1}; negative -> {0};
-    both -> empty domain.  ``vars`` overrides the default first-occurrence
-    variable sequence (it must cover every variable of the store).
+    both -> empty domain.  The name breaks index ties, since set order
+    depends on the hash seed; two variables of one name are rejected by
+    ``BooleanCSP``, the only check.
     """
-    seq = store_variables(s) if vars is None else tuple(vars)
-    domains = dict.fromkeys(seq, FULL)
-    missing = set()
+    vars = set(declared)
+    vars.update(itertools.chain.from_iterable(c.vars for c in s.constraints))
+    vars.update(l.var for l in s.literals)
+    domains = dict.fromkeys(sorted(vars, key=attrgetter("index", "name")), FULL)
     for lit in s.literals:
-        d = domains.get(lit.var)
-        if d is None:
-            missing.add(lit.var)
-        else:
-            domains[lit.var] = d & (ONE if lit.positive else ZERO)
-    if vars is not None:  # checked against the domains: no second set of vars
-        missing.update(v for c in s.constraints for v in c.vars if v not in domains)
-        if missing:
-            raise ValueError(
-                f"variable sequence misses {sorted(v.name for v in missing)}"
-            )
-    return BooleanCSP(seq, domains, s.constraints)
+        domains[lit.var] &= ONE if lit.positive else ZERO
+    return BooleanCSP(tuple(domains), domains, s.constraints)
 
 
 def csp_to_store(csp: BooleanCSP) -> ConstraintStore:

@@ -91,7 +91,6 @@ from boolprop.model import (
     iter_solutions,
     restricted_relation,
     store_to_csp,
-    store_variables,
     truth_table,
 )
 from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
@@ -273,7 +272,7 @@ def semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
 def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bool:
     """Every valuation of ``s``'s variables that satisfies ``s`` extends
     to a valuation of ``c``'s variables that satisfies ``c``."""
-    c_vars, s_vars = store_variables(c), store_variables(s)
+    c_vars, s_vars = store_to_csp(c).vars, store_to_csp(s).vars
     shared = [v for v in c_vars if v in s_vars]
     extendable = set()
     for values in itertools.product((0, 1), repeat=len(c_vars)):

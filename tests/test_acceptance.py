@@ -46,7 +46,6 @@ from boolprop.model import (
     is_reformulation,
     iter_solutions,
     store_to_csp,
-    store_variables,
     truth_table,
     variables,
 )
@@ -211,7 +210,7 @@ def test_criterion_7_translation_soundness():
         }
         s = ConstraintStore(frozenset(cons), frozenset(lits))
         cs = constraints_to_clauses(s)
-        svars = store_variables(s)
+        svars = store_to_csp(s).vars
         for values in itertools.product((0, 1), repeat=len(svars)):
             valuation = dict(zip(svars, values))
             if store_satisfied(s, valuation) != clause_set_satisfied(cs, valuation):
@@ -225,7 +224,7 @@ def test_criterion_7_translation_soundness():
         clauses_checked += 1
         fresh = fresh_variables(clause_set_variables(cs))
         translated = trans_clause(q, fresh)
-        t_vars = store_variables(translated)
+        t_vars = store_to_csp(translated).vars
         q_vars = sorted({l.var for l in q.literals}, key=lambda v: v.index)
         extra = [v for v in t_vars if v not in q_vars]
         for values in itertools.product((0, 1), repeat=len(q_vars)):

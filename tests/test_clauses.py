@@ -48,7 +48,7 @@ from boolprop.model import (
     orc,
     pos,
     store,
-    store_variables,
+    store_to_csp,
     variables,
 )
 from boolprop import cli
@@ -138,7 +138,7 @@ def test_constraints_to_clauses():
 @settings(max_examples=150)
 def test_clause_translation_preserves_satisfaction(s):
     cs = constraints_to_clauses(s)
-    vars = store_variables(s)
+    vars = store_to_csp(s).vars
     for values in itertools.product((0, 1), repeat=len(vars)):
         valuation = dict(zip(vars, values))
         assert store_satisfied(s, valuation) == clause_set_satisfied(cs, valuation)
@@ -252,14 +252,14 @@ def test_trans_positive_pair():
     fresh = fresh_variables([x1, x2])
     z, = variables("z", start=10)
     result = trans_clause_eq(clause(pos(x1), pos(x2)), z, fresh)
-    (y,) = [v for v in store_variables(result) if v.name.startswith("_t")]
+    (y,) = [v for v in store_to_csp(result).vars if v.name.startswith("_t")]
     assert result == store(orc(x1, y, z), eqc(x2, y))
 
 
 def test_trans_negative_head_introduces_two_fresh_vars():
     fresh = fresh_variables([X, Y, Z])
     result = trans_clause_eq(clause(neg(X), pos(Y)), Z, fresh)
-    helpers = [v for v in store_variables(result) if v.name.startswith("_t")]
+    helpers = [v for v in store_to_csp(result).vars if v.name.startswith("_t")]
     assert len(helpers) == 2
     v, y = helpers
     assert result == store(notc(X, v), orc(v, y, Z), eqc(Y, y))
@@ -321,7 +321,7 @@ def test_clause_equivalent_to_projected_translation(cs):
     (q,) = cs
     fresh = fresh_variables(clause_set_variables(cs))
     translated = trans_clause(q, fresh)
-    t_vars = store_variables(translated)
+    t_vars = store_to_csp(translated).vars
     q_vars = sorted({l.var for l in q.literals}, key=lambda v: v.index)
     extra = [v for v in t_vars if v not in q_vars]
     for values in itertools.product((0, 1), repeat=len(q_vars)):
@@ -343,7 +343,7 @@ def test_trans_clause_eq_is_always_satisfiable(cs):
     fresh = fresh_variables(clause_set_variables(cs))
     target = next(fresh)
     translated = trans_clause_eq(q, target, fresh)
-    t_vars = store_variables(translated)
+    t_vars = store_to_csp(translated).vars
     assert any(
         store_satisfied(translated, dict(zip(t_vars, values)))
         for values in itertools.product((0, 1), repeat=len(t_vars))
@@ -359,7 +359,7 @@ def test_trans_of_six_literal_clause_extends_any_base_valuation(signs):
     fresh = fresh_variables(vars6)
     target = next(fresh)
     translated = trans_clause_eq(q, target, fresh)
-    helpers = [v for v in store_variables(translated) if v not in vars6]
+    helpers = [v for v in store_to_csp(translated).vars if v not in vars6]
     for base_values in itertools.product((0, 1), repeat=6):
         base = dict(zip(vars6, base_values))
         assert any(
@@ -532,7 +532,7 @@ def test_simulate_resolution_whose_remainder_merges():
     assert derivation[-1].after == s2.union(redundant)
     # the redundant set keeps the whole dangling chain, constraints included
     assert redundant.constraints
-    assert len(store_variables(s2)) > 24
+    assert len(store_to_csp(s2).vars) > 24
 
 
 def test_simulate_merge_with_lookalike_clauses():
@@ -563,8 +563,6 @@ def test_simulate_complementary_units():
     assert s1 == s2
     assert {pos(X), neg(X)} <= s2.literals
     # the inconsistent store maps to an empty domain
-    from boolprop.model import store_to_csp
-
     assert store_to_csp(s2).domains[X] == frozenset()
 
 
@@ -689,11 +687,12 @@ def test_consequence_check_never_accepts_what_the_oracle_rejects():
             steps += 1
             _, s2, _, c = simulate_unit_by_bool(cs, step)
             _check_redundant(c, s2)
-            s2_vars = set(store_variables(s2))
+            s2_vars = {v for k in s2.constraints for v in k.vars}
+            s2_vars.update(l.var for l in s2.literals)
             variants = [
                 *(dataclasses.replace(c, literals=c.literals ^ {l, l.negated()})
                   for l in c.literals),
-                *(c.union(store(lit(v))) for v in store_variables(c) if v in s2_vars
+                *(c.union(store(lit(v))) for v in store_to_csp(c).vars if v in s2_vars
                   for lit in (pos, neg)),
                 *(dataclasses.replace(c, constraints=c.constraints - {k})
                   for k in c.constraints),
@@ -889,7 +888,8 @@ def test_translation_matches_the_per_clause_union_on_planted_3cnfs(seed):
     ]:
         csp, clause_vars = cli._dimacs_csp(text)
         assert clause_vars == declared
-        assert set(csp.vars) == set(store_variables(s)) | set(declared) | (
+        store_vars = {v for c in s.constraints for v in c.vars}
+        assert set(csp.vars) == store_vars | set(declared) | (
             {Variable("_false", len(csp.vars) - 1)} if failed else set()
         )
         assert csp.constraints == s.constraints

@@ -12,6 +12,7 @@ from boolprop.clauses import (
     UnitStep,
 )
 from boolprop.model import (
+    Variable,
     andc,
     bcsp,
     eqc,
@@ -49,12 +50,12 @@ def test_semantically_follows_rejects_oversized_enumeration():
         semantically_follows(store(pos(X)), big)
 
 
-def test_store_to_csp_rejects_incomplete_sequences():
-    s = store(eqc(X, Y), pos(Z))
-    with pytest.raises(ValueError, match="misses"):
-        store_to_csp(s, vars=(X, Y))
-    with pytest.raises(ValueError, match=r"misses \['y'\]"):
-        store_to_csp(s, vars=(X, Z))
+def test_store_to_csp_rejects_two_variables_of_one_name():
+    # the CSP's own check: store_to_csp adds none
+    with pytest.raises(ValueError, match=r"^duplicate variable names in CSP: \['x', 'x'\]$"):
+        store_to_csp(store(pos(X)), (Variable("x", 5),))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        store_to_csp(store(eqc(X, Y), neg(Variable("y", 0))))
 
 
 def test_simulate_rejects_primed_rules():

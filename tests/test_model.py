@@ -34,7 +34,6 @@ from boolprop.model import (
     solutions,
     store,
     store_to_csp,
-    store_variables,
     Variable,
     truth_table,
     variables,
@@ -164,23 +163,22 @@ def test_store_roundtrip_through_csp():
     assert csp_to_store(store_to_csp(s)) == s
 
 
-def test_store_variables_order():
-    s = store(eqc(Z, Y), pos(X))
-    # constraints come first in canonical order, then literals
-    assert store_variables(s) == (Z, Y, X)
+def test_store_to_csp_lists_variables_by_index():
+    # not in the order the store's items mention them (z, y, x)
+    assert store_to_csp(store(eqc(Z, Y), pos(X))).vars == (X, Y, Z)
 
 
-@given(stores(max_vars=5, max_literals=8))
-@settings(max_examples=200)
-def test_store_variables_follow_the_canonical_items(s):
-    # store_variables walks the sorted constraints and literals directly;
-    # items() is the canonical order it must keep
-    expected = []
-    for item in s.items():
-        for v in item.vars if isinstance(item, BoolConstraint) else (item.var,):
-            if v not in expected:
-                expected.append(v)
-    assert store_variables(s) == tuple(expected)
+def test_store_to_csp_lists_unmentioned_declared_variables_at_their_index():
+    a, b, c, d = variables("a b c d")
+    csp = store_to_csp(store(eqc(d, a), pos(c)), (b,))
+    assert csp.vars == (a, b, c, d)
+    assert csp.domains == {a: FULL, b: FULL, c: ONE, d: FULL}
+
+
+def test_store_to_csp_breaks_index_ties_by_name():
+    a, b, c = Variable("a", 1), Variable("b", 1), Variable("c", 0)
+    assert store_to_csp(store(eqc(b, a), neg(c))).vars == (c, a, b)
+    assert store_to_csp(store(pos(b)), (a,)).vars == (a, b)
 
 
 @given(stores(max_vars=4))
@@ -336,23 +334,26 @@ def test_as_domain_keeps_a_domain_frozenset():
         as_domain(None)
 
 
-@given(stores(max_vars=5, max_literals=8))
+@given(
+    stores(max_vars=5, max_literals=8),
+    st.dictionaries(st.sampled_from(("w0", "w1", "w2")), st.integers(0, 6)),
+    st.integers(0, 5),
+)
 @settings(max_examples=300)
-def test_store_to_csp_gives_the_probed_domains(s):
-    seq = store_variables(s)
-    assert store_to_csp(s).domains == reference_store_domains(s, seq)
-    # a longer sequence: unmentioned variables stay {0, 1}
-    extra = seq + (Variable("w", 9),)
-    csp = store_to_csp(s, extra)
-    assert list(csp.domains) == list(extra)
-    assert csp.domains == reference_store_domains(s, extra)
+def test_store_to_csp_gives_the_probed_domains(s, extra, redeclared):
+    # extra declared variables may share an index with the store's own
+    own = {v for c in s.constraints for v in c.vars} | {l.var for l in s.literals}
+    declared = [Variable(name, index) for name, index in extra.items()]
+    declared += sorted(own)[:redeclared]
+    csp = store_to_csp(s, declared)
+    assert set(csp.vars) == own | set(declared)
+    keys = [(v.index, v.name) for v in csp.vars]
+    assert keys == sorted(keys)
+    assert csp.domains == reference_store_domains(s, csp.vars)
 
 
 def test_store_to_csp_with_complementary_literals():
     s = store(orc(X, Y, Z), pos(X), neg(X), neg(Y), pos(Z), neg(Z))
     assert store_to_csp(s).domains == {X: EMPTY, Y: ZERO, Z: EMPTY}
     assert store_to_csp(s).domains == reference_store_domains(s, (X, Y, Z))
-    with pytest.raises(ValueError, match=r"^variable sequence misses \['y', 'z'\]$"):
-        store_to_csp(s, (X,))
-    with pytest.raises(ValueError, match=r"^variable sequence misses \['x'\]$"):
-        store_to_csp(store(pos(X), neg(X)), (Y,))
+    assert store_to_csp(store(pos(X), neg(X)), (Y,)).domains == {X: EMPTY, Y: FULL}

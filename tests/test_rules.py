@@ -19,7 +19,6 @@ from boolprop.model import (
     pos,
     store,
     store_to_csp,
-    store_variables,
     variables,
 )
 from boolprop.rules import (
@@ -326,11 +325,10 @@ def test_store_and_csp_interpretations_correspond(s, system):
     """
     if any(lit.negated() in s.literals for lit in s.literals):
         return
-    vars = store_variables(s)
-    csp = store_to_csp(s, vars)
+    csp = store_to_csp(s)
     for r in system.rules:
         for step in apply_rule_store(r, s):
-            translated = store_to_csp(step.after, vars)
+            translated = store_to_csp(step.after, csp.vars)
             matches = [
                 c for c in apply_rule_csp(r, csp) if c.after == translated
             ]

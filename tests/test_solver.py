@@ -224,15 +224,19 @@ def test_search_never_splits_on_a_translation_helper(monkeypatch, system):
     for n in (8, 15, 25):
         for seed in range(4):
             text = random_cnf_text(n, seed)
-            csp, clause_vars = _dimacs_csp(text)
-            branched.clear()
-            result = solve(csp, system)
-            splits += result.split_count
-            assert set(branched) <= set(clause_vars)
-            if result.status == SAT:
-                model = result.model.as_dict()
-                clauses, _ = parse_dimacs(text)
-                assert all(
-                    any(model[l.var] == l.positive for l in c.literals) for c in clauses
-                )
+            clauses, _ = parse_dimacs(text)
+            dimacs, clause_vars = _dimacs_csp(text)
+            # the CLI's route and the library's, which declares nothing
+            for csp in (dimacs, store_to_csp(translate_clause_set(clauses))):
+                branched.clear()
+                result = solve(csp, system)
+                splits += result.split_count
+                assert set(branched) <= set(clause_vars)
+                assert result == reference_solve(csp, system)
+                if result.status == SAT:
+                    model = result.model.as_dict()
+                    assert all(
+                        any(model[l.var] == l.positive for l in c.literals)
+                        for c in clauses
+                    )
     assert splits > 0
