@@ -372,8 +372,11 @@ def translate_clause_set(
     fresh = fresh_variables({l.var for c in cs for l in c.literals}.union(declared))
     constraints: list[BoolConstraint] = []
     literals: list[Literal] = []
-    for c in sorted(cs, key=clause_sort_key):
-        lits = c.ordered()
+    # the order of clause_sort_key, read off each clause's literals sorted once
+    for lits in sorted(
+        (c.ordered() for c in cs),
+        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
+    ):
         if len(lits) == 1:
             literals.append(lits[0])
         else:

@@ -44,7 +44,6 @@ from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
     SYSTEMS,
     Closure,
-    PropagationRule,
     builtin_ruleset,
     close,
     closed_under,
@@ -120,7 +119,7 @@ def _cmd_solve(args) -> int:
     print(f"status: {result.status}")
     if result.model is not None:
         shown = report_vars or result.model.vars
-        values = {v: d for v, d in zip(result.model.vars, result.model.values)}
+        values = result.model.as_dict()
         print(" ".join(["model:", *(f"{v.name}={values[v]}" for v in shown)]))
     print(f"propagations: {result.propagation_steps}")
     print(f"splits: {result.split_count}")
@@ -163,9 +162,8 @@ def _cmd_gen_rules(args) -> int:
         else [ConstraintKind(args.kind)]
     )
     for kind in kinds:
-        for name, cand in named_minimal_rules(kind):
-            generated = PropagationRule(name, kind, cand.premise, cand.conclusion)
-            print(format_rule(generated))
+        for r in named_minimal_rules(kind):
+            print(format_rule(r))
     return EXIT_OK
 
 

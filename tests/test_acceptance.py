@@ -49,11 +49,7 @@ from boolprop.model import (
     truth_table,
     variables,
 )
-from boolprop.rulegen import (
-    connective_table,
-    minimal_rules,
-    table_rules,
-)
+from boolprop.rulegen import minimal_rules
 from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close, closed_under
 from boolprop.solver import SAT, solve
 from reference import clause_set_satisfied, semantically_follows, store_satisfied
@@ -74,11 +70,13 @@ def test_criterion_1_completeness():
     counts = {}
     for kind in ConstraintKind:
         start = time.perf_counter()
-        generated = minimal_rules(connective_table(kind))
+        generated = minimal_rules(kind, truth_table(kind))
         elapsed = time.perf_counter() - start
         if elapsed >= 1.0:
             failures.append(f"{kind.value}: generation took {elapsed:.3f}s")
-        if generated != table_rules(BOOL, kind):
+        shapes = {(r.premise, r.conclusion_assignments) for r in generated}
+        table = {(r.premise, r.conclusion_assignments) for r in BOOL.rules if r.kind is kind}
+        if shapes != table:
             failures.append(f"{kind.value}: generated set differs from the table")
         counts[kind.value] = len(generated)
     if counts != {"eq": 4, "not": 4, "and": 6, "or": 6}:

@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,6 @@ from boolprop import cli, clauses, consistency, rulegen
 from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.cli import run_command
 from boolprop.model import BooleanCSP, ConstraintKind, bcsp, eqc, variables
-from boolprop.rulegen import ConstraintTable
 from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
 from strategies import random_cnf_text
 
@@ -432,8 +434,8 @@ def _raise_simulation_error(s1, step):
         (consistency, "BOOL_PRIME", BOOL, "bool-prime",
          "var x y z; dom x 1; and x y z: problematic CSP closed under BOOL'"),
         (rulegen, "BOOL", BOOL.without("AND 4"), "completeness",
-         "and: missing [], extra ['p0 = 0 -> p2 = 0']"),
-        (rulegen, "connective_table", lambda kind: ConstraintTable(kind.arity, frozenset()),
+         r"and: missing [], extra [?       x /\ y = z, x = 0 -> z = 0]"),
+        (rulegen, "truth_table", lambda kind: frozenset(),
          "completeness", "expected 20 rules in total, generated 0"),
         (clauses, "apply_rule_store", lambda r, s: [], "reduction1",
          "EQU 1: expected one application, got 0"),
@@ -450,6 +452,37 @@ def test_every_sweep_can_report_a_counterexample(
     monkeypatch.setattr(module, name, broken)
     assert run_command(["verify", "--theorem", theorem, "--budget", "0"]) == 3
     assert f"\n  {line}\n" in capsys.readouterr().out
+
+
+_VERIFY_WITHOUT_RULES = """
+import sys
+from boolprop import cli, rulegen
+rulegen.BOOL = rulegen.BOOL.without("AND 1").without("AND 4").without("OR 1")
+sys.exit(cli.run_command(["verify", "--theorem", "completeness"]))
+"""
+
+
+def test_completeness_report_does_not_depend_on_the_hash_seed():
+    """Rules BOOL lacks are named "?", and "?" and the constraint kinds
+    hash differently in each process: the report must not show it.  Two
+    of the removed rules are AND rules, so their order is at stake."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _VERIFY_WITHOUT_RULES],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "completeness: 4 instances checked, 2 counterexamples",
+        r"  and: missing [], extra [?       x /\ y = z, x = 0 -> z = 0;"
+        r" ?       x /\ y = z, x = 1, y = 1 -> z = 1]",
+        r"  or: missing [], extra [?       x \/ y = z, x = 1 -> z = 1]",
+    ]
 
 
 def test_verify_budget_zero_checks_no_random_instances(capsys):
