@@ -12,11 +12,10 @@ on the translated clause set, and a unit step becomes at most three rule
 applications on translated stores, up to a redundant remainder that
 semantically follows from the result.
 
-``Clause`` and ``UnitStep`` are ``NamedTuple`` values, as the model's
-variables, literals and constraints are, so hashing and equality run in
-C.  Each hashes as the tuple of its fields, as the frozen dataclasses
-they replace did, so set orders, traces and outputs are unchanged.  A
-``Clause`` therefore also equals the 1-tuple of its frozenset.
+``Clause`` and ``UnitStep`` are ``NamedTuple`` values, as every record
+of the model is, so hashing and equality run in C.  Each equals and
+hashes as the tuple of its fields: a ``Clause`` equals the 1-tuple of its
+frozenset.
 """
 
 from __future__ import annotations
@@ -110,6 +109,15 @@ def clause_sort_key(c: Clause) -> tuple:
     """The length, then the literal keys in order: no two literals share
     a key, so sorting the keys sorts the literals."""
     return (len(c.literals), tuple(sorted(map(literal_sort_key, c.literals))))
+
+
+def _ordered_clauses(cs: ClauseSet) -> list[list[Literal]]:
+    """Each clause's literals in order, the clauses in the order of
+    ``clause_sort_key``, sorting each clause's literals once."""
+    return sorted(
+        (c.ordered() for c in cs),
+        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
+    )
 
 
 def clause_set_variables(cs: ClauseSet) -> set[Variable]:
@@ -372,11 +380,7 @@ def translate_clause_set(
     fresh = fresh_variables({l.var for c in cs for l in c.literals}.union(declared))
     constraints: list[BoolConstraint] = []
     literals: list[Literal] = []
-    # the order of clause_sort_key, read off each clause's literals sorted once
-    for lits in sorted(
-        (c.ordered() for c in cs),
-        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
-    ):
+    for lits in _ordered_clauses(cs):
         if len(lits) == 1:
             literals.append(lits[0])
         else:
@@ -716,9 +720,9 @@ def format_dimacs(cs: ClauseSet, vars: Sequence[Variable]) -> str:
         raise ValueError(f"clause variables missing from the sequence: {' '.join(missing)}")
     lines = [f"c {number[v]} {v.name}" for v in vars]
     lines.append(f"p cnf {len(vars)} {len(cs)}")
-    for c in sorted(cs, key=clause_sort_key):
+    for ordered in _ordered_clauses(cs):
         lits = " ".join(
-            str(number[l.var] if l.positive else -number[l.var]) for l in c.ordered()
+            str(number[l.var] if l.positive else -number[l.var]) for l in ordered
         )
         lines.append(f"{lits} 0".strip())
     return "\n".join(lines) + "\n"

@@ -6,18 +6,19 @@ connective relations EQ, NOT, AND, OR.  Constraint stores are the flat
 companion form: a finite set of constraints plus a set of literals, with
 a fixed interpretation of literal sets as domains.
 
-Variables, literals and constraints are ``NamedTuple`` values, so
-hashing and equality run in C; each hashes as the tuple of its fields,
-as the frozen dataclasses they replace did, so every set order is
-unchanged.  A ``Variable`` therefore also equals the plain tuple
-``(name, index)``.
+Every record here is a ``NamedTuple``, so hashing and equality run in
+C, and each hashes as the tuple of its fields: set orders depend on the
+field values alone, and a ``Variable`` also equals the plain tuple
+``(name, index)``.  A type that checks or normalises its fields does so
+in ``__new__``, and its ``_make``, so also ``_replace``, builds through
+it.
 
 Everything here is immutable, and the solution-level operations
 (``solutions``, ``equivalent``, ...) work by exhaustive enumeration.
 This module is the oracle layer the propagation engines are tested
 against, so it favours obviousness over speed.  It is also the one
 place where a CSP is checked and its domains normalised (in
-``BooleanCSP.__post_init__``) and where solutions are enumerated
+``BooleanCSP.__new__``) and where solutions are enumerated
 (``iter_solutions``); a store is enumerated as the CSP ``store_to_csp``
 gives it.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -186,16 +186,28 @@ def as_domain(value) -> Domain:
     return dom
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A total valuation of a variable sequence, hashable for set use."""
-
+class _AssignmentFields(NamedTuple):
     vars: tuple[Variable, ...]
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.vars) != len(self.values):
+
+class Assignment(_AssignmentFields):
+    """A total valuation of a variable sequence, hashable for set use.
+
+    Indexing by a variable reads its value; the fields are read by name.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vars: tuple[Variable, ...], values: tuple[int, ...]) -> Assignment:
+        if len(vars) != len(values):
             raise ValueError("assignment arity mismatch")
+        return tuple.__new__(cls, (vars, values))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Assignment:
+        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
+        return cls(*fields)
 
     def __getitem__(self, var: Variable) -> int:
         return self.values[self.vars.index(var)]
@@ -207,31 +219,42 @@ class Assignment:
         return " ".join(f"{v.name}={d}" for v, d in zip(self.vars, self.values))
 
 
-@dataclass(frozen=True)
-class BooleanCSP:
-    """Variable sequence + per-variable domains + constraint set."""
-
+class _CSPFields(NamedTuple):
     vars: tuple[Variable, ...]
     domains: Mapping[Variable, Domain]
-    constraints: frozenset[BoolConstraint] = frozenset()
+    constraints: frozenset[BoolConstraint]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(
-            self, "domains", {v: as_domain(d) for v, d in self.domains.items()}
-        )
-        object.__setattr__(self, "constraints", frozenset(self.constraints))
-        if len({v.name for v in self.vars}) != len(self.vars):
-            raise ValueError(f"duplicate variable names in CSP: {[v.name for v in self.vars]}")
+
+class BooleanCSP(_CSPFields):
+    """Variable sequence + per-variable domains + constraint set."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        vars: Iterable[Variable],
+        domains: Mapping[Variable, object],
+        constraints: Iterable[BoolConstraint] = frozenset(),
+    ) -> BooleanCSP:
+        vars = tuple(vars)
+        domains = {v: as_domain(d) for v, d in domains.items()}
+        constraints = frozenset(constraints)
+        if len({v.name for v in vars}) != len(vars):
+            raise ValueError(f"duplicate variable names in CSP: {[v.name for v in vars]}")
         # Distinct names make distinct variables, so a count and a lookup
         # per variable show that the domains cover exactly them.
-        domains = self.domains
-        if len(domains) != len(self.vars) or not all(v in domains for v in self.vars):
+        if len(domains) != len(vars) or not all(v in domains for v in vars):
             raise ValueError("domains must be defined for exactly the CSP variables")
-        for c in self.constraints:
+        for c in constraints:
             for v in c.vars:
                 if v not in domains:
                     raise ValueError(f"constraint {c} uses undeclared variable {v}")
+        return tuple.__new__(cls, (vars, domains, constraints))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> BooleanCSP:
+        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
+        return cls(*fields)
 
     @classmethod
     def _of_valid_parts(
@@ -240,19 +263,15 @@ class BooleanCSP:
         domains: dict[Variable, Domain],
         constraints: frozenset[BoolConstraint],
     ) -> BooleanCSP:
-        """A CSP from parts that already pass ``__post_init__``, unchecked.
+        """A CSP from parts that already pass ``__new__``'s checks, unchecked.
 
-        The caller must guarantee what ``__post_init__`` would check: the
+        The caller must guarantee what ``__new__`` would check: the
         variables are distinct, ``domains`` is a dict of ``Domain``
         frozensets keyed by exactly ``vars``, and every constraint lies on
         them.  For engines that assemble a CSP from the parts of a valid
         one.
         """
-        csp = object.__new__(cls)
-        object.__setattr__(csp, "vars", vars)
-        object.__setattr__(csp, "domains", domains)
-        object.__setattr__(csp, "constraints", constraints)
-        return csp
+        return tuple.__new__(cls, (vars, domains, constraints))
 
     def with_domains(self, updates: Mapping[Variable, object]) -> BooleanCSP:
         return BooleanCSP(self.vars, {**self.domains, **updates}, self.constraints)
@@ -269,20 +288,31 @@ def bcsp(
     return BooleanCSP(tuple(vars), doms, frozenset(constraints))
 
 
-@dataclass(frozen=True)
-class ConstraintStore:
+class _StoreFields(NamedTuple):
+    constraints: frozenset[BoolConstraint]
+    literals: frozenset[Literal]
+
+
+class ConstraintStore(_StoreFields):
     """A finite set of constraints and literals.
 
     Stores may contain complementary literals; such a store is
     inconsistent and maps to an empty domain under ``store_to_csp``.
     """
 
-    constraints: frozenset[BoolConstraint] = frozenset()
-    literals: frozenset[Literal] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", frozenset(self.constraints))
-        object.__setattr__(self, "literals", frozenset(self.literals))
+    def __new__(
+        cls,
+        constraints: Iterable[BoolConstraint] = frozenset(),
+        literals: Iterable[Literal] = frozenset(),
+    ) -> ConstraintStore:
+        return tuple.__new__(cls, (frozenset(constraints), frozenset(literals)))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ConstraintStore:
+        # so that ``_replace`` normalises too (see ``BoolConstraint._make``)
+        return cls(*fields)
 
     def union(self, other: ConstraintStore) -> ConstraintStore:
         return ConstraintStore(

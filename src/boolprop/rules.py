@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import (
     Callable,
+    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -69,38 +69,56 @@ _MASK = {d: m for m, d in enumerate(_DOMAIN)}
 _ROLES = {2: (0, 1), 3: (0, 1, 2)}  # a constraint's roles, by arity
 
 
-@dataclass(frozen=True)
-class PropagationRule:
-    """A rule on ``kind`` constraints; its ``replacement``, if any, is the
-    one constraint pattern that replaces a match (four rules of BOOL')."""
-
+class _RuleFields(NamedTuple):
     name: str
     kind: ConstraintKind
     premise: tuple[tuple[int, int], ...]  # sorted (position, value) pairs
     conclusion_assignments: tuple[tuple[int, int], ...]
-    replacement: ConstraintPattern | None = None
+    replacement: ConstraintPattern | None
 
-    def __post_init__(self) -> None:
-        arity = self.kind.arity
-        prem = dict(self.premise)
-        concl = dict(self.conclusion_assignments)
+
+class PropagationRule(_RuleFields):
+    """A rule on ``kind`` constraints; its ``replacement``, if any, is the
+    one constraint pattern that replaces a match (four rules of BOOL')."""
+
+    # no ``__slots__``: ``drops`` is cached in the instance ``__dict__``
+
+    def __new__(
+        cls,
+        name: str,
+        kind: ConstraintKind,
+        premise: tuple[tuple[int, int], ...],
+        conclusion_assignments: tuple[tuple[int, int], ...],
+        replacement: ConstraintPattern | None = None,
+    ) -> PropagationRule:
+        arity = kind.arity
+        prem = dict(premise)
+        concl = dict(conclusion_assignments)
         if not prem:
-            raise ValueError(f"{self.name}: empty premise")
-        if not concl and not self.replacement:
-            raise ValueError(f"{self.name}: empty conclusion")
+            raise ValueError(f"{name}: empty premise")
+        if not concl and not replacement:
+            raise ValueError(f"{name}: empty conclusion")
         if set(prem) & set(concl):
-            raise ValueError(f"{self.name}: premise and conclusion positions overlap")
+            raise ValueError(f"{name}: premise and conclusion positions overlap")
         for p in list(prem) + list(concl):
             if not 0 <= p < arity:
-                raise ValueError(f"{self.name}: position {p} out of range")
-        if self.replacement:
-            kind, ps = self.replacement
+                raise ValueError(f"{name}: position {p} out of range")
+        if replacement:
+            rkind, ps = replacement
             in_range = all(0 <= p < arity for p in ps)
-            if len(ps) != kind.arity or len(set(ps)) != len(ps) or not in_range:
+            if len(ps) != rkind.arity or len(set(ps)) != len(ps) or not in_range:
                 raise ValueError(
-                    f"{self.name}: replacement {kind.value} needs {kind.arity} "
+                    f"{name}: replacement {rkind.value} needs {rkind.arity} "
                     f"distinct positions below {arity}, got {ps}"
                 )
+        return tuple.__new__(
+            cls, (name, kind, premise, conclusion_assignments, replacement)
+        )
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> PropagationRule:
+        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
+        return cls(*fields)
 
     @cached_property
     def drops(self) -> bool:
@@ -136,10 +154,13 @@ class _Entry(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class _RuleSetFields(NamedTuple):
     name: str
     rules: tuple[PropagationRule, ...]
+
+
+class RuleSet(_RuleSetFields):
+    # no ``__slots__``: ``_table`` is cached in the instance ``__dict__``
 
     @cached_property
     def _table(self) -> dict[ConstraintKind, tuple[_Entry | None, ...]]:
@@ -255,15 +276,13 @@ def builtin_ruleset(name: str) -> RuleSet:
         ) from None
 
 
-@dataclass(frozen=True)
-class StoreStep:
+class StoreStep(NamedTuple):
     rule: str
     matched_constraint: BoolConstraint
     after: ConstraintStore
 
 
-@dataclass(frozen=True)
-class CspApplication:
+class CspApplication(NamedTuple):
     """One application of a rule to a CSP, with the CSPs on both sides."""
 
     rule: str
@@ -273,8 +292,7 @@ class CspApplication:
     relevant: bool
 
 
-@dataclass(frozen=True)
-class CspStep:
+class CspStep(NamedTuple):
     """One relevant step of a closure, as the change it made."""
 
     rule: str

@@ -14,8 +14,7 @@ against engine bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from boolprop.model import (
     ONE,
@@ -31,8 +30,7 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str  # SAT or UNSAT
     model: Assignment | None
     propagation_steps: int

@@ -19,6 +19,7 @@ from boolprop.clauses import (
     apply_unit_step,
     clause,
     clause_set_variables,
+    clause_sort_key,
     constraints_to_clauses,
     format_dimacs,
     format_unit_step,
@@ -574,7 +575,7 @@ def test_reduction_to_rules_sweep():
 def test_replay_rejects_a_result_the_script_cannot_reach():
     s1 = store(eqc(X, Y), pos(X))
     (step,) = apply_rule_store(BOOL.by_name("EQU 1"), s1)
-    padded = dataclasses.replace(step, after=step.after.union(store(pos(Z))))
+    padded = step._replace(after=step.after.union(store(pos(Z))))
     with pytest.raises(SimulationError, match="did not reach the translated result"):
         simulate_bool_by_unit(s1, padded)
 
@@ -588,7 +589,7 @@ def test_replay_rejects_a_missing_premise_unit():
 def test_replay_rejects_a_rule_outside_bool():
     (step,) = apply_rule_store(BOOL.by_name("EQU 1"), store(eqc(X, Y), pos(X)))
     with pytest.raises(ValueError, match="BOOL rules"):
-        simulate_bool_by_unit(store(), dataclasses.replace(step, rule="AND 3'"))
+        simulate_bool_by_unit(store(), step._replace(rule="AND 3'"))
 
 
 # a result with more variables than the brute-force check enumerates
@@ -690,11 +691,11 @@ def test_consequence_check_never_accepts_what_the_oracle_rejects():
             s2_vars = {v for k in s2.constraints for v in k.vars}
             s2_vars.update(l.var for l in s2.literals)
             variants = [
-                *(dataclasses.replace(c, literals=c.literals ^ {l, l.negated()})
+                *(c._replace(literals=c.literals ^ {l, l.negated()})
                   for l in c.literals),
                 *(c.union(store(lit(v))) for v in store_to_csp(c).vars if v in s2_vars
                   for lit in (pos, neg)),
-                *(dataclasses.replace(c, constraints=c.constraints - {k})
+                *(c._replace(constraints=c.constraints - {k})
                   for k in c.constraints),
             ]
             for variant in variants:
@@ -728,6 +729,25 @@ def test_dimacs_roundtrip():
     assert len(cs) == 3 and len(vars) == 3
     again, _ = parse_dimacs(format_dimacs(cs, vars))
     assert again == cs
+
+
+def test_format_dimacs_writes_clauses_in_clause_sort_key_order():
+    # each clause is sorted once; the lines must be those of sorting the
+    # clauses by clause_sort_key and each clause's literals by ordered()
+    rng = random.Random(30)
+    for _ in range(300):
+        cs = random_clause_set(rng, max_vars=6, max_clauses=8, max_len=5)
+        if rng.random() < 0.2:
+            cs |= {EMPTY_CLAUSE}
+        # numbered against index order, so the two orders differ
+        vars = sorted(clause_set_variables(cs), reverse=True)
+        number = {v: i + 1 for i, v in enumerate(vars)}
+        expected = [
+            " ".join([str(number[l.var] if l.positive else -number[l.var])
+                      for l in c.ordered()] + ["0"])
+            for c in sorted(cs, key=clause_sort_key)
+        ]
+        assert format_dimacs(cs, vars).splitlines()[len(vars) + 1:] == expected
 
 
 def test_format_dimacs_names_the_missing_clause_variables_sorted():

@@ -263,13 +263,14 @@ def test_translate_to_bcn_keeps_declared_variables(tmp_path, capsys):
 
 def test_dimacs_input_is_checked_as_one_csp(monkeypatch):
     built = []
-    post_init = BooleanCSP.__post_init__
+    new = BooleanCSP.__new__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, *args, **kwargs):
+        csp = new(cls, *args, **kwargs)
+        built.append(csp)
+        return csp
 
-    monkeypatch.setattr(BooleanCSP, "__post_init__", counting)
+    monkeypatch.setattr(BooleanCSP, "__new__", staticmethod(counting))
     # the empty clause and x3, which no clause mentions
     csp, clause_vars = cli._dimacs_csp("p cnf 3 2\n-1 2 0\n0\n")
     assert built == [csp]
