@@ -32,11 +32,8 @@ from boolprop.model import (
     ConstraintStore,
     Literal,
     Variable,
-    eqc,
     literal_sort_key,
     neg,
-    notc,
-    orc,
     pos,
     store,
     store_to_csp,
@@ -113,10 +110,14 @@ def clause_sort_key(c: Clause) -> tuple:
 
 def _ordered_clauses(cs: ClauseSet) -> list[list[Literal]]:
     """Each clause's literals in order, the clauses in the order of
-    ``clause_sort_key``, sorting each clause's literals once."""
+    ``clause_sort_key``, sorting each clause's literals once.
+
+    The clause key is flat, the length and then each literal's key, so
+    comparing two clauses compares no nested list.
+    """
     return sorted(
         (c.ordered() for c in cs),
-        key=lambda lits: (len(lits), [literal_sort_key(l) for l in lits]),
+        key=lambda lits: (len(lits), *map(literal_sort_key, lits)),
     )
 
 
@@ -329,6 +330,11 @@ def fresh_variables(vars: Iterable[Variable]) -> Iterator[Variable]:
             index += 1
 
 
+# bound once: reading a member off the Enum class costs about ten times
+# a global lookup, and every chain constraint names its kind
+_EQ, _NOT, _OR = ConstraintKind.EQ, ConstraintKind.NOT, ConstraintKind.OR
+
+
 def _chain(
     lits: Sequence[Literal], fresh: Iterator[Variable], target: Variable | None = None
 ) -> tuple[list[BoolConstraint], Variable]:
@@ -347,11 +353,11 @@ def _chain(
         head = lit.var if lit.positive else next(fresh)
         y = next(fresh)
         if not lit.positive:
-            chain.append(notc(lit.var, head))
-        chain.append(orc(head, y, out))
+            chain.append(BoolConstraint(_NOT, (lit.var, head)))
+        chain.append(BoolConstraint(_OR, (head, y, out)))
         out = y
     last = lits[-1]
-    chain.append(eqc(last.var, out) if last.positive else notc(last.var, out))
+    chain.append(BoolConstraint(_EQ if last.positive else _NOT, (last.var, out)))
     return chain, root
 
 

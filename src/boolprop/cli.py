@@ -2,7 +2,7 @@
 
 Subcommands: solve, propagate, check, gen-rules, translate, verify.
 Exit codes: 0 = SAT / property holds, 3 = UNSAT / check failed,
-2 = usage or parse error, 1 = internal error.
+2 = usage or parse error, or out of memory, 1 = internal error.
 """
 
 from __future__ import annotations
@@ -289,6 +289,11 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # a well-formed input too large for this machine is not a bug
+        print("error: out of memory: the input is too large for this machine",
+              file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

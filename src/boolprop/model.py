@@ -171,7 +171,17 @@ def orc(x: Variable, y: Variable, z: Variable) -> BoolConstraint:
 
 
 def constraint_sort_key(c: BoolConstraint) -> tuple:
-    return (tuple([v.index for v in c.vars]), c.kind._value_)
+    """The canonical constraint order: by variable indices, then kind.
+
+    The key is flat, ``(i0, i1, 2, 0, kind)`` or ``(i0, i1, 3, i2, kind)``,
+    so comparing two keys compares no nested tuple.  The arity sits third:
+    a binary constraint sorts before a ternary one on the same first two
+    variables, as the shorter index tuple would, with no sentinel index.
+    """
+    v = c.vars
+    if len(v) == 2:
+        return (v[0].index, v[1].index, 2, 0, c.kind._value_)
+    return (v[0].index, v[1].index, 3, v[2].index, c.kind._value_)
 
 
 def as_domain(value) -> Domain:

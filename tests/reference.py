@@ -49,6 +49,12 @@ value, the second compares each constraint's domains with the four
 problematic patterns.  The library reads both from per-code tables and
 must give the same triples in the same order.
 
+``reference_constraint_sort_key`` is the canonical constraint order as
+first written, the tuple of variable indices and then the kind, which
+``boolprop.model.constraint_sort_key`` must order alike with a flat
+tuple.  The reference witnesses are sorted by it, so they do not
+depend on the key under test.
+
 ``store_satisfied`` and ``clause_set_satisfied`` test a total valuation
 against a store or a clause set, and ``trans_clause_eq`` is the clause
 chain of ``boolprop.clauses`` onto a given target variable: the tests
@@ -81,12 +87,12 @@ from boolprop.model import (
     ONE,
     ZERO,
     Assignment,
+    BoolConstraint,
     BooleanCSP,
     ConstraintStore,
     Domain,
     Literal,
     Variable,
-    constraint_sort_key,
     is_failed,
     iter_solutions,
     restricted_relation,
@@ -287,9 +293,13 @@ def reference_semantically_follows(c: ConstraintStore, s: ConstraintStore) -> bo
     return True
 
 
+def reference_constraint_sort_key(c: BoolConstraint) -> tuple:
+    return (tuple(v.index for v in c.vars), c.kind.value)
+
+
 def reference_hyper_arc_witnesses(csp: BooleanCSP) -> tuple[Witness, ...]:
     out = []
-    for c in sorted(csp.constraints, key=constraint_sort_key):
+    for c in sorted(csp.constraints, key=reference_constraint_sort_key):
         rel = restricted_relation(c, csp)
         for i, v in enumerate(c.vars):
             for val in sorted(csp.domains[v]):

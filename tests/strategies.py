@@ -44,6 +44,30 @@ def random_cnf_text(n, seed, ratio=3.5, lengths=(2, 3, 4)):
     return f"p cnf {n} {m}\n" + "".join(f"{line} 0\n" for line in lines)
 
 
+@st.composite
+def dimacs_texts(draw, max_vars=8):
+    """Well-formed DIMACS text: a ``random_cnf_text`` CNF on a drawn
+    seed, a header that may declare up to three variables no clause
+    uses, and up to three drawn lines among the clauses that are
+    tautologies, repeat a literal or are the empty clause."""
+    used = draw(st.integers(1, max_vars))
+    lengths = tuple(k for k in (1, 2, 3) if k <= used)
+    ratio = draw(st.sampled_from((0.5, 1.5, 3.0)))
+    text = random_cnf_text(used, draw(st.integers(0, 2**32 - 1)), ratio, lengths)
+    lines = text.splitlines()[1:]
+    literal = st.builds(lambda v, negated: -v if negated else v,
+                        st.integers(1, used), st.booleans())
+    odd = st.one_of(
+        literal.map(lambda l: f"{l} {-l} 0"),
+        literal.map(lambda l: f"{l} {l} 0"),
+        st.just("0"),
+    )
+    for line in draw(st.lists(odd, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    declared = used + draw(st.integers(0, 3))
+    return f"p cnf {declared} {len(lines)}\n" + "".join(f"{line}\n" for line in lines)
+
+
 def _vars(n):
     return variables([f"v{i}" for i in range(n)])
 

@@ -1,7 +1,17 @@
 import pytest
 
 from boolprop.bcn import BcnError, format_bcn, parse_bcn
-from boolprop.model import EMPTY, ZERO, ConstraintKind, andc, bcsp, notc, variables
+from boolprop.model import (
+    EMPTY,
+    ZERO,
+    ConstraintKind,
+    andc,
+    bcsp,
+    eqc,
+    notc,
+    orc,
+    variables,
+)
 
 X, Y, Z = variables("x y z")
 
@@ -75,6 +85,18 @@ def test_roundtrip_on_canonical_files():
     csp = parse_bcn(text)
     assert format_bcn(csp) == text
     assert parse_bcn(format_bcn(csp)) == csp
+
+
+def test_constraints_print_by_indices_then_arity_then_kind():
+    # x has a negative index; on the same first two variables a binary
+    # constraint comes before a ternary one, and one scope orders by kind
+    x, y, z = variables("x y z", start=-1)
+    csp = bcsp((x, y, z), {}, [
+        andc(y, x, z), eqc(x, z), orc(x, y, z), andc(x, y, z), notc(x, y), eqc(x, y),
+    ])
+    assert format_bcn(csp) == (
+        "var x y z\neq x y\nnot x y\nand x y z\nor x y z\neq x z\nand y x z\n"
+    )
 
 
 def test_parse_format_parse_is_identity():

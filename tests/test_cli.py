@@ -1,16 +1,19 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from boolprop import cli, clauses, consistency, rulegen
 from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.cli import run_command
 from boolprop.model import BooleanCSP, ConstraintKind, bcsp, eqc, variables
 from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
-from strategies import random_cnf_text
+from strategies import dimacs_texts, random_cnf_text
 
 
 @pytest.fixture
@@ -327,6 +330,26 @@ def test_dimacs_and_its_translation_run_alike(tmp_path, capsys, command, system)
     assert len(outputs[0]) > 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(text=dimacs_texts())
+def test_well_formed_dimacs_never_ends_in_an_internal_error(tmp_path_factory, text):
+    # exit 1 means a bug in boolprop; translate's output is canonical, so
+    # read back and written again it is the same text
+    path = tmp_path_factory.mktemp("cnf") / "f.cnf"
+    path.write_text(text)
+
+    def run(*argv):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = run_command([*argv, str(path)])
+        return code, out.getvalue()
+
+    for command in ("solve", "propagate", "check"):
+        assert run(command)[0] in (0, 2, 3), command
+    code, bcn = run("translate", "--to-bcn")
+    assert code == 0 and format_bcn(parse_bcn(bcn)) == bcn
+
+
 def test_comment_only_dimacs_is_an_empty_cnf(tmp_path, capsys):
     f = tmp_path / "empty.cnf"
     f.write_text("c no clauses\nc at all\n")
@@ -514,6 +537,16 @@ def test_internal_error_exit_code(example, monkeypatch, capsys):
     monkeypatch.setattr(cli, "close", broken)
     assert run_command(["propagate", example]) == 1
     assert capsys.readouterr().err == "internal error: engine bug\n"
+
+
+def test_out_of_memory_is_a_usage_error(cnf, monkeypatch, capsys):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_dimacs", exhausted)
+    assert run_command(["propagate", cnf]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):

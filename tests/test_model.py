@@ -20,6 +20,7 @@ from boolprop.model import (
     andc,
     as_domain,
     bcsp,
+    constraint_sort_key,
     csp_to_store,
     eqc,
     equivalent,
@@ -38,8 +39,12 @@ from boolprop.model import (
     truth_table,
     variables,
 )
-from reference import reference_store_domains, store_satisfied
-from strategies import csps, stores
+from reference import (
+    reference_constraint_sort_key,
+    reference_store_domains,
+    store_satisfied,
+)
+from strategies import constraints_over, csps, stores
 
 X, Y, Z = variables("x y z")
 
@@ -322,6 +327,25 @@ def test_kind_arity_is_a_member_attribute():
         ConstraintKind.EQ: 2, ConstraintKind.NOT: 2, ConstraintKind.AND: 3, ConstraintKind.OR: 3
     }
     assert all("arity" in vars(k) for k in ConstraintKind)
+
+
+@st.composite
+def _constraint_lists(draw):
+    # a pool of three to five variables, so drawn constraints often share
+    # their first two variables across arities, or a scope across kinds;
+    # indices may be negative, huge or equal
+    index = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    indices = draw(st.lists(index, min_size=3, max_size=5))
+    pool = [Variable(f"v{i}", k) for i, k in enumerate(indices)]
+    return draw(st.lists(constraints_over(pool), max_size=12))
+
+
+@given(_constraint_lists())
+@settings(max_examples=300)
+def test_constraint_sort_key_orders_as_the_nested_key(cs):
+    assert sorted(cs, key=constraint_sort_key) == sorted(
+        cs, key=reference_constraint_sort_key
+    )
 
 
 def test_as_domain_keeps_a_domain_frozenset():
