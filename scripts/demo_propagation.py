@@ -9,7 +9,7 @@ solved by propagation plus one split.
 from boolprop.bcn import format_bcn
 from boolprop.consistency import describe_csp, hyper_arc_witnesses
 from boolprop.model import andc, bcsp, notc, orc, variables
-from boolprop.rules import BOOL, BOOL_PRIME, close, format_csp_step
+from boolprop.rules import BOOL, BOOL_PRIME, Closure, close, format_csp_step
 from boolprop.solver import solve
 
 
@@ -17,9 +17,10 @@ def show(title, csp):
     print(f"== {title} ==")
     print(format_bcn(csp), end="")
     for system in (BOOL, BOOL_PRIME):
-        closed, trace = close(csp, system)
+        state, entries = close(Closure(csp), system)
+        closed = state.csp()
         print(f"-- closure under {system.name} --")
-        for step in trace:
+        for step in state.steps(entries):
             print(format_csp_step(step))
         print(
             f"   result: {describe_csp(closed)}"

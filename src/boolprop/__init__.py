@@ -50,7 +50,6 @@ from boolprop.rules import (
     StoreStep,
     apply_rule_csp,
     apply_rule_store,
-    builtin_ruleset,
     close,
     closed_under,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "apply_rule_csp",
     "apply_rule_store",
     "bcsp",
-    "builtin_ruleset",
     "close",
     "closed_under",
     "eqc",

@@ -130,15 +130,21 @@ def clause_set_variables(cs: ClauseSet) -> set[Variable]:
 # ---------------------------------------------------------------------------
 
 
+# bound once, in declaration order: reading a member off the Enum class
+# costs about ten times a global lookup, and every constraint names its kind
+_EQ, _NOT, _AND, _OR = ConstraintKind
+
+
 def constraint_clauses(c: BoolConstraint) -> frozenset[Clause]:
     """The fixed clausal encoding of one constraint."""
-    if c.kind == ConstraintKind.EQ:
+    kind = c.kind
+    if kind is _EQ:
         x, y = c.vars
         return frozenset({clause(pos(x), neg(y)), clause(neg(x), pos(y))})
-    if c.kind == ConstraintKind.NOT:
+    if kind is _NOT:
         x, y = c.vars
         return frozenset({clause(pos(x), pos(y)), clause(neg(x), neg(y))})
-    if c.kind == ConstraintKind.AND:
+    if kind is _AND:
         x, y, z = c.vars
         return frozenset(
             {
@@ -328,11 +334,6 @@ def fresh_variables(vars: Iterable[Variable]) -> Iterator[Variable]:
         if name not in used:
             yield Variable(name, index)
             index += 1
-
-
-# bound once: reading a member off the Enum class costs about ten times
-# a global lookup, and every chain constraint names its kind
-_EQ, _NOT, _OR = ConstraintKind.EQ, ConstraintKind.NOT, ConstraintKind.OR
 
 
 def _chain(
@@ -557,7 +558,7 @@ def simulate_unit_by_bool(
     script.append(("OR 3" if resolve else "OR 1", head_or))
     if resolve and step.remainder.is_unit:
         (q_con,) = remainder
-        script.append(("EQU 2" if q_con.kind == ConstraintKind.EQ else "NOT 3", q_con))
+        script.append(("EQU 2" if q_con.kind is _EQ else "NOT 3", q_con))
     derivation: list[StoreStep] = []
     current = s1
     for rule_name, matched in script:

@@ -44,7 +44,6 @@ from boolprop.rulegen import named_minimal_rules, verify_completeness
 from boolprop.rules import (
     SYSTEMS,
     Closure,
-    builtin_ruleset,
     close,
     closed_under,
     format_csp_step,
@@ -110,7 +109,7 @@ def _load_csp(path: str) -> tuple[BooleanCSP, tuple[Variable, ...]]:
 
 def _cmd_solve(args) -> int:
     csp, report_vars = _load_csp(args.file)
-    system = builtin_ruleset(args.system)
+    system = SYSTEMS[args.system]
     trace = [] if args.trace else None
     result = solve(csp, system, trace=trace)
     if trace:
@@ -128,7 +127,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_propagate(args) -> int:
     csp, _ = _load_csp(args.file)
-    state, entries = close(Closure(csp), builtin_ruleset(args.system))
+    state, entries = close(Closure(csp), SYSTEMS[args.system])
     if args.trace:
         for step in state.steps(entries):
             print(format_csp_step(step))
@@ -144,7 +143,7 @@ def _cmd_check(args) -> int:
         print(f"limited: {limited}")
         return EXIT_OK if limited else EXIT_FAILED
     if args.closed_under:
-        system = builtin_ruleset(args.closed_under)
+        system = SYSTEMS[args.closed_under]
         closed = closed_under(csp, system)
         print(f"closed under {system.name}: {closed}")
         return EXIT_OK if closed else EXIT_FAILED

@@ -267,15 +267,6 @@ BOOL_PRIME = RuleSet("BOOL_PRIME", tuple(_PRIMED.get(r.name, r) for r in BOOL.ru
 SYSTEMS = {"bool": BOOL, "bool-prime": BOOL_PRIME}  # the CLI's names, in its order
 
 
-def builtin_ruleset(name: str) -> RuleSet:
-    try:
-        return SYSTEMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown rule system {name!r} (expected {' or '.join(SYSTEMS)})"
-        ) from None
-
-
 class StoreStep(NamedTuple):
     rule: str
     matched_constraint: BoolConstraint
@@ -555,9 +546,9 @@ def closed_under(csp: BooleanCSP, rs: RuleSet) -> bool:
 
 
 def close(
-    csp: BooleanCSP | Closure, rs: RuleSet, max_steps: int | None = None
-) -> tuple[BooleanCSP, list[CspStep]] | tuple[Closure, list[tuple]]:
-    """Perform relevant applications until the CSP is closed.
+    state: Closure, rs: RuleSet, max_steps: int | None = None
+) -> tuple[Closure, list[tuple]]:
+    """Perform relevant applications until the state's CSP is closed.
 
     The schedule is deterministic: lowest rule index first, then
     canonical constraint order.  Each relevant step shrinks a domain,
@@ -566,12 +557,12 @@ def close(
     that bound, with |C| the live ids at the call as ``Closure.live``
     counts them, and exceeding it raises RuntimeError.
 
-    The work runs on a ``Closure``.  Scanning a constraint pushes (rule
-    index, constraint key, id) for the rule the set's table names at the
-    constraint's kind and domain code, if any.  A popped candidate fires
-    if the table at the current code still names that rule, adding the
-    rule's replacement unless ``Closure.has`` finds it, so no CSP is
-    built and ``is_reformulation``, the specification, is not asked.
+    Scanning a constraint pushes (rule index, constraint key, id) for
+    the rule the set's table names at the constraint's kind and domain
+    code, if any.  A popped candidate fires if the table at the current
+    code still names that rule, adding the rule's replacement unless
+    ``Closure.has`` finds it, so no CSP is built and
+    ``is_reformulation``, the specification, is not asked.
     A step changes only the codes of the constraints on the positions
     whose masks it moved, and adds at most one id, so only those
     constraints and the added id are scanned again; a drop that moves
@@ -579,17 +570,14 @@ def close(
     the application each alive constraint's entry names, and its least
     one still named is the one the schedule picks.
 
-    Given a ``Closure``, ``close`` scans only its pending constraints
-    and returns it, closed in place, with its steps' trail entries, each
-    naming the id its step added or -1, and nothing rendered.  When the
-    state was closed before its pending constraints' variables changed,
-    every relevant application lies on those constraints, so the steps
-    are the ones a fresh closure of the same CSP would take.  Given a
-    ``BooleanCSP``, it returns the closed CSP, ``Closure.csp`` of the
-    state, and the steps as ``Closure.steps`` renders them; callers that
-    read neither pass ``Closure(csp)``.
+    ``close`` scans only the state's pending constraints and returns
+    the state, closed in place, with its steps' trail entries, each
+    naming the id its step added or -1; ``Closure.steps`` renders them
+    and ``Closure.csp`` reads the closed CSP.  When the state was closed
+    before its pending constraints' variables changed, every relevant
+    application lies on those constraints, so the steps are the ones a
+    fresh closure of the same CSP would take.
     """
-    state = csp if isinstance(csp, Closure) else Closure(csp)
     if max_steps is None:
         max_steps = 2 * len(state.vars) + state.live
     table, masks = rs._table, state.masks
@@ -630,9 +618,7 @@ def close(
             rescan.add(len(constraints) - 1)
         for j in rescan:
             scan(j)
-    if state is csp:
-        return state, trail[start:]
-    return state.csp(), state.steps(trail)
+    return state, trail[start:]
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,10 @@ first written, the tuple of variable indices and then the kind, which
 tuple.  The reference witnesses are sorted by it, so they do not
 depend on the key under test.
 
+``close_csp`` closes a CSP from a fresh ``Closure`` and returns the
+closed CSP and its rendered steps, the form most tests compare; the
+library's callers keep the state and its trail entries instead.
+
 ``store_satisfied`` and ``clause_set_satisfied`` test a total valuation
 against a store or a clause set, and ``trans_clause_eq`` is the clause
 chain of ``boolprop.clauses`` onto a given target variable: the tests
@@ -99,8 +103,24 @@ from boolprop.model import (
     store_to_csp,
     truth_table,
 )
-from boolprop.rules import BOOL, CspApplication, CspStep, RuleSet, apply_rule_csp, close
+from boolprop.rules import (
+    BOOL,
+    Closure,
+    CspApplication,
+    CspStep,
+    RuleSet,
+    apply_rule_csp,
+    close,
+)
 from boolprop.solver import SAT, UNSAT, SolveResult
+
+
+def close_csp(
+    csp: BooleanCSP, rs: RuleSet, max_steps: int | None = None
+) -> tuple[BooleanCSP, list[CspStep]]:
+    """``close`` on a fresh state of ``csp``: the closed CSP and the steps."""
+    state, entries = close(Closure(csp), rs, max_steps)
+    return state.csp(), state.steps(entries)
 
 
 def first_relevant(csp: BooleanCSP, rs: RuleSet) -> CspApplication | None:
@@ -133,7 +153,7 @@ def reference_solve(
     pending = [(csp, {}, 0)]
     while pending:
         base, update, depth = pending.pop()
-        closed, steps = close(base.with_domains(update), system)
+        closed, steps = close_csp(base.with_domains(update), system)
         propagations += len(steps)
         max_depth = max(max_depth, depth)
         if trace is not None:

@@ -16,6 +16,7 @@ from boolprop.model import (
     bcsp,
     variables,
 )
+from boolprop.bcn import format_bcn
 from boolprop.clauses import Clause
 
 NONEMPTY_DOMAINS = (frozenset({0}), frozenset({1}), frozenset({0, 1}))
@@ -66,6 +67,22 @@ def dimacs_texts(draw, max_vars=8):
         lines.insert(draw(st.integers(0, len(lines))), line)
     declared = used + draw(st.integers(0, 3))
     return f"p cnf {declared} {len(lines)}\n" + "".join(f"{line}\n" for line in lines)
+
+
+@st.composite
+def bcn_texts(draw):
+    """Well-formed .bcn text: ``format_bcn`` of a drawn CSP, empty
+    domains allowed, that may start with a comment line and may carry
+    one more ``dom`` line, which intersects with any earlier one."""
+    csp = draw(csps())
+    lines = format_bcn(csp).splitlines()
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(csp.vars))
+        token = draw(st.sampled_from(("0", "1", "01", "{}")))
+        lines.insert(draw(st.integers(1, len(lines))), f"dom {v.name} {token}")
+    if draw(st.booleans()):
+        lines.insert(0, "# a drawn problem")
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _vars(n):

@@ -50,9 +50,14 @@ from boolprop.model import (
     variables,
 )
 from boolprop.rulegen import minimal_rules
-from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close, closed_under
+from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, closed_under
 from boolprop.solver import SAT, solve
-from reference import clause_set_satisfied, semantically_follows, store_satisfied
+from reference import (
+    clause_set_satisfied,
+    close_csp,
+    semantically_follows,
+    store_satisfied,
+)
 
 X, Y, Z = variables("x y z")
 
@@ -257,8 +262,8 @@ def test_criterion_8_bool_prime_theorems():
     for csp in singles:
         if not is_limited(csp):
             continue
-        a, _ = close(csp, BOOL)
-        b, _ = close(csp, BOOL_PRIME)
+        a, _ = close_csp(csp, BOOL)
+        b, _ = close_csp(csp, BOOL_PRIME)
         if is_failed(a) and is_failed(b):
             coincided += 1
         elif is_reformulation(a, b):

@@ -18,7 +18,8 @@ from pathlib import Path
 from boolprop.cli import run_command
 from boolprop.consistency import is_limited, single_constraint_csps
 from boolprop.model import is_failed
-from boolprop.rules import BOOL, BOOL_PRIME, close
+from boolprop.rules import BOOL, BOOL_PRIME
+from reference import close_csp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -82,12 +83,12 @@ def test_traced_bool_prime_sweep_counts_its_closures(capsys):
     closes = [s for s in spans if s[0] == "rules.close"]
     assert len(closes) == 136 and all(s[1] == sweep for s in closes)
     # the counts read off the sweep's closure states equal those of
-    # closing each limited single-constraint CSP as a BooleanCSP
+    # closing each limited single-constraint CSP with close_csp
     expected = [
         (len(steps), int(is_failed(closed)))
         for csp in single_constraint_csps()
         if is_limited(csp)
-        for closed, steps in (close(csp, BOOL), close(csp, BOOL_PRIME))
+        for closed, steps in (close_csp(csp, BOOL), close_csp(csp, BOOL_PRIME))
     ]
     assert [(s[5], s[6]) for s in closes] == expected
     assert sum(n for n, _ in expected) > 0 and 0 < sum(f for _, f in expected) < 136

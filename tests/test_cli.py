@@ -12,8 +12,8 @@ from boolprop import cli, clauses, consistency, rulegen
 from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.cli import run_command
 from boolprop.model import BooleanCSP, ConstraintKind, bcsp, eqc, variables
-from boolprop.rules import BOOL, BOOL_PRIME, RuleSet, rule
-from strategies import dimacs_texts, random_cnf_text
+from boolprop.rules import BOOL, BOOL_PRIME, SYSTEMS, RuleSet, rule
+from strategies import bcn_texts, dimacs_texts, random_cnf_text
 
 
 @pytest.fixture
@@ -330,6 +330,14 @@ def test_dimacs_and_its_translation_run_alike(tmp_path, capsys, command, system)
     assert len(outputs[0]) > 3
 
 
+def _run_quietly(*argv):
+    """The exit code and stdout of one command, its stderr discarded."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run_command([str(arg) for arg in argv])
+    return code, out.getvalue()
+
+
 @settings(max_examples=100, deadline=None)
 @given(text=dimacs_texts())
 def test_well_formed_dimacs_never_ends_in_an_internal_error(tmp_path_factory, text):
@@ -337,17 +345,30 @@ def test_well_formed_dimacs_never_ends_in_an_internal_error(tmp_path_factory, te
     # read back and written again it is the same text
     path = tmp_path_factory.mktemp("cnf") / "f.cnf"
     path.write_text(text)
-
-    def run(*argv):
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            code = run_command([*argv, str(path)])
-        return code, out.getvalue()
-
     for command in ("solve", "propagate", "check"):
-        assert run(command)[0] in (0, 2, 3), command
-    code, bcn = run("translate", "--to-bcn")
+        assert _run_quietly(command, path)[0] in (0, 2, 3), command
+    code, bcn = _run_quietly("translate", "--to-bcn", path)
     assert code == 0 and format_bcn(parse_bcn(bcn)) == bcn
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=bcn_texts())
+def test_well_formed_bcn_never_ends_in_an_internal_error(tmp_path_factory, text):
+    # exit 1 means a bug in boolprop; a .bcn file is not DIMACS, so
+    # translate --to-bcn refuses it as a usage error
+    path = tmp_path_factory.mktemp("bcn") / "f.bcn"
+    path.write_text(text)
+    commands = [
+        ("solve",),
+        *(("propagate", "--trace", "--system", system) for system in SYSTEMS),
+        ("check", "--hyper-arc"),
+        ("check", "--limited"),
+        *(("check", "--closed-under", system) for system in SYSTEMS),
+        ("translate", "--to-cnf"),
+    ]
+    for argv in commands:
+        assert _run_quietly(*argv, path)[0] in (0, 2, 3), argv
+    assert _run_quietly("translate", "--to-bcn", path)[0] == 2
 
 
 def test_comment_only_dimacs_is_an_empty_cnf(tmp_path, capsys):
@@ -549,6 +570,9 @@ def test_out_of_memory_is_a_usage_error(cnf, monkeypatch, capsys):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(example, capsys):
     assert run_command(["frobnicate"]) == 2
     assert run_command(["verify"]) == 2  # --theorem is required
+    # argparse limits rule system names to the CLI's own
+    assert run_command(["solve", example, "--system", "BOOL"]) == 2
+    assert run_command(["check", example, "--closed-under", "resolution"]) == 2

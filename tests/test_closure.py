@@ -53,7 +53,7 @@ from boolprop.rules import (
     domain_code,
     rule,
 )
-from reference import first_relevant, reference_close
+from reference import close_csp, first_relevant, reference_close
 from strategies import csps, every_single_constraint_csp
 
 _K = ConstraintKind
@@ -63,7 +63,7 @@ REDUCED = [rs.without(r.name) for rs in SYSTEMS for r in rs.rules]
 
 def _assert_same_closure(csp, system):
     expected, expected_trace = reference_close(csp, system)
-    closed, trace = close(csp, system)
+    closed, trace = close_csp(csp, system)
     assert closed == expected
     assert closed_under(csp, system) == (not expected_trace)
     assert closed_under(closed, system)
@@ -358,9 +358,9 @@ def test_close_raises_on_the_step_past_any_cap(max_steps):
     x, y, z = variables("x y z")
     chain = [BoolConstraint(_K.EQ, (x, y)), BoolConstraint(_K.EQ, (y, z))]
     csp = bcsp((x, y, z), {x: 1}, chain)
-    assert len(close(csp, BOOL, max_steps=2)[1]) == 2
+    assert len(close_csp(csp, BOOL, max_steps=2)[1]) == 2
     with pytest.raises(RuntimeError, match="closure exceeded"):
-        close(csp, BOOL, max_steps=max_steps)
+        close_csp(csp, BOOL, max_steps=max_steps)
 
 
 @pytest.mark.parametrize("max_steps", [-1, 0, 1])
@@ -385,7 +385,7 @@ def test_close_scans_the_id_a_step_added():
         "and v1 v2 v0\nor v1 v2 v0\nor v2 v1 v0\n"
     )
     _assert_same_closure(csp, BOOL_PRIME)
-    closed, trace = close(csp, BOOL_PRIME)
+    closed, trace = close_csp(csp, BOOL_PRIME)
     assert [step.rule for step in trace] == ["AND 1'", "EQU 1"]
     v0, v1, v2 = csp.vars
     assert closed.domains[v0] == ONE
@@ -506,14 +506,14 @@ def test_closure_domains_map_every_variable_to_a_frozenset(csp, system):
     domains = state.domains
     assert list(domains) == list(csp.vars)
     assert all(type(d) is frozenset and d <= FULL for d in domains.values())
-    assert domains == close(csp, system)[0].domains
+    assert domains == close_csp(csp, system)[0].domains
 
 
 def test_compiled_rules_are_freed_with_their_rule_set():
     reduced = BOOL.without("AND 1")
     x, y, z = variables("x y z")
     csp = bcsp((x, y, z), {x: 0}, [BoolConstraint(_K.AND, (x, y, z))])
-    assert [step.rule for step in close(csp, reduced)[1]] == ["AND 4"]
+    assert [step.rule for step in close_csp(csp, reduced)[1]] == ["AND 4"]
     # the table is the reduced set's own, and only the set holds it
     table = vars(reduced)["_table"]
     names = {e.rule.name for codes in table.values() for e in codes if e}
@@ -536,8 +536,8 @@ def test_compiled_rules_are_freed_with_their_rule_set():
 @given(csps(max_vars=5, max_constraints=6), st.sampled_from((BOOL, BOOL_PRIME)))
 @settings(max_examples=200, deadline=None)
 def test_unchecked_engine_results_pass_the_checks(csp, system):
-    # close and apply_rule_csp assemble their CSPs without BooleanCSP.__new__
-    results = [close(csp, system)[0]]
+    # Closure.csp and apply_rule_csp assemble their CSPs without BooleanCSP.__new__
+    results = [close_csp(csp, system)[0]]
     results += [a.after for r in system.rules for a in apply_rule_csp(r, csp)]
     for result in results:
         assert BooleanCSP(result.vars, result.domains, result.constraints) == result

@@ -23,7 +23,7 @@ from boolprop.model import (
     store_to_csp,
     variables,
 )
-from boolprop.rules import BOOL, BOOL_PRIME, apply_rule_store, close
+from boolprop.rules import BOOL, BOOL_PRIME, Closure, apply_rule_store, close
 from reference import semantically_follows
 
 X, Y, Z = variables("x y z")
@@ -32,7 +32,7 @@ X, Y, Z = variables("x y z")
 def test_close_step_budget_is_an_internal_error():
     csp = bcsp((X, Y, Z), {X: 1}, [andc(X, Y, Z), notc(X, Y)])
     with pytest.raises(RuntimeError, match="closure exceeded"):
-        close(csp, BOOL, max_steps=0)
+        close(Closure(csp), BOOL, max_steps=0)
 
 
 def test_unit_propagate_step_budget_is_an_internal_error():

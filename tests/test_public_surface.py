@@ -9,6 +9,7 @@ import that a deletion left unused.
 """
 
 import ast
+import hashlib
 import os
 import re
 import subprocess
@@ -25,12 +26,20 @@ def test_star_import_resolves_all_and_the_scripts_exit_0():
     exec("from boolprop import *", namespace)
     assert set(boolprop.__all__) <= namespace.keys()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = {}
     for script, *args in (["demo_propagation.py"], ["run_verifications.py", "--budget", "5"]):
         done = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, (script, done.stderr)
+        outputs[script] = done.stdout
+    # the demo's walk-through, line for line as first printed
+    demo = outputs["demo_propagation.py"]
+    assert demo.count("\n") == 35
+    assert hashlib.sha256(demo.encode()).hexdigest() == (
+        "5619d461c8868cca1b0e9f68241ae0ee42c129c220a1fa18ee6d9ee26db80a76"
+    )
 
 
 def _top_level_names(tree: ast.Module):

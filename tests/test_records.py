@@ -37,9 +37,9 @@ from boolprop.rules import (
     StoreStep,
     apply_rule_csp,
     apply_rule_store,
-    close,
 )
 from boolprop.solver import SolveResult, solve
+from reference import close_csp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +53,7 @@ HASHABLE = {
     PropagationRule: _EQU_1,
     RuleSet: BOOL,
     StoreStep: apply_rule_store(_EQU_1, store(eqc(X, Y), pos(X)))[0],
-    CspStep: close(_CSP, BOOL)[1][0],
+    CspStep: close_csp(_CSP, BOOL)[1][0],
     SolveResult: solve(_CSP),
     SweepReport: SweepReport("sweep", 3, ("a counterexample",)),
 }

