@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from boolprop.model import (
     BoolConstraint,
+    CheckedRecord,
     ConstraintKind,
     ConstraintStore,
     Literal,
@@ -58,24 +59,19 @@ class _ClauseFields(NamedTuple):
     literals: frozenset[Literal]
 
 
-class Clause(_ClauseFields):
+class Clause(CheckedRecord, _ClauseFields):
     """A disjunction of distinct literals; empty means contradiction.
 
     The literals are kept as a frozenset whichever iterable is given,
-    also through ``_make`` and ``_replace``.  Like any tuple of one
-    field, even the empty clause is truthy.
+    also through ``_make`` and ``_replace``, which ``CheckedRecord``
+    routes through ``__new__``.  Like any tuple of one field, even the
+    empty clause is truthy.
     """
 
     __slots__ = ()
 
     def __new__(cls, literals: Iterable[Literal]) -> Clause:
         return tuple.__new__(cls, (frozenset(literals),))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Clause:
-        # the NamedTuple base builds through tuple.__new__, skipping the
-        # frozenset above; its ``_replace`` builds through this method
-        return cls(*fields)
 
     @property
     def is_unit(self) -> bool:
@@ -657,7 +653,9 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     a second header is an error; without a header the count is the
     highest literal.  The clause count must be a number but is not
     enforced.  A line starting with ``%`` ends the input, as in the
-    SATLIB files that close with ``%`` and a lone ``0``.
+    SATLIB files that close with ``%`` and a lone ``0``.  Numbers are
+    ASCII digits with an optional sign: a ``_`` or a non-ASCII character,
+    which ``int`` would read, is an error.
 
     The first pass reads each clause line into ints with one ``map``, so
     a bad token anywhere is reported before a literal above a header
@@ -678,18 +676,24 @@ def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
             if declared is not None:
                 raise ValueError(f"line {lineno}: second p cnf line")
-            if not fields[2].isdecimal():
+            if not (fields[2].isascii() and fields[2].isdecimal()):
                 raise ValueError(f"line {lineno}: bad variable count")
-            if not fields[3].isdecimal():
+            if not (fields[3].isascii() and fields[3].isdecimal()):
                 raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
             continue
         tokens = stripped.split()
         try:
+            if "_" in stripped or not stripped.isascii():  # int() reads both
+                raise ValueError
             lines.append((lineno, list(map(int, tokens))))
         except ValueError:
-            for tok in tokens:
+            # the first bad token, or the line when the bad character is
+            # non-ASCII whitespace, which split() drops
+            for tok in [*tokens, stripped]:
                 try:
+                    if "_" in tok or not tok.isascii():
+                        raise ValueError
                     int(tok)
                 except ValueError:
                     raise ValueError(f"line {lineno}: bad literal {tok!r}") from None

@@ -10,8 +10,8 @@ Every record here is a ``NamedTuple``, so hashing and equality run in
 C, and each hashes as the tuple of its fields: set orders depend on the
 field values alone, and a ``Variable`` also equals the plain tuple
 ``(name, index)``.  A type that checks or normalises its fields does so
-in ``__new__``, and its ``_make``, so also ``_replace``, builds through
-it.
+in ``__new__`` and lists ``CheckedRecord`` first among its bases, whose
+one ``_make``, so also ``_replace``, builds through that ``__new__``.
 
 Everything here is immutable, and the solution-level operations
 (``solutions``, ``equivalent``, ...) work by exhaustive enumeration.
@@ -117,12 +117,25 @@ def literal_sort_key(lit: Literal) -> tuple[int, int, str]:
     return (lit.var.index, 0 if lit.positive else 1, lit.var.name)
 
 
+class CheckedRecord:
+    """First base of every record that checks or normalises its fields in
+    ``__new__``, before the ``NamedTuple`` that declares them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable):
+        # the NamedTuple base's _make, which its _replace calls, builds
+        # through tuple.__new__ and would skip the checks in cls.__new__
+        return cls(*fields)
+
+
 class _ConstraintFields(NamedTuple):
     kind: ConstraintKind
     vars: tuple[Variable, ...]
 
 
-class BoolConstraint(_ConstraintFields):
+class BoolConstraint(CheckedRecord, _ConstraintFields):
     """One connective constraint on an ordered tuple of distinct variables.
 
     The tuple is in role order: for AND/OR the third variable is the
@@ -143,12 +156,6 @@ class BoolConstraint(_ConstraintFields):
         if len(set(vars)) != len(vars):
             raise ValueError(f"repeated variable in {kind.value} constraint")
         return tuple.__new__(cls, (kind, vars))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> BoolConstraint:
-        # the NamedTuple base builds through tuple.__new__, skipping the
-        # checks above; its ``_replace`` builds through this method
-        return cls(*fields)
 
     def __str__(self) -> str:
         return self.kind._value_ + " " + " ".join([v.name for v in self.vars])
@@ -201,7 +208,7 @@ class _AssignmentFields(NamedTuple):
     values: tuple[int, ...]
 
 
-class Assignment(_AssignmentFields):
+class Assignment(CheckedRecord, _AssignmentFields):
     """A total valuation of a variable sequence, hashable for set use.
 
     Indexing by a variable reads its value; the fields are read by name.
@@ -213,11 +220,6 @@ class Assignment(_AssignmentFields):
         if len(vars) != len(values):
             raise ValueError("assignment arity mismatch")
         return tuple.__new__(cls, (vars, values))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Assignment:
-        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
-        return cls(*fields)
 
     def __getitem__(self, var: Variable) -> int:
         return self.values[self.vars.index(var)]
@@ -235,7 +237,7 @@ class _CSPFields(NamedTuple):
     constraints: frozenset[BoolConstraint]
 
 
-class BooleanCSP(_CSPFields):
+class BooleanCSP(CheckedRecord, _CSPFields):
     """Variable sequence + per-variable domains + constraint set."""
 
     __slots__ = ()
@@ -262,11 +264,6 @@ class BooleanCSP(_CSPFields):
         return tuple.__new__(cls, (vars, domains, constraints))
 
     @classmethod
-    def _make(cls, fields: Iterable) -> BooleanCSP:
-        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
-        return cls(*fields)
-
-    @classmethod
     def _of_valid_parts(
         cls,
         vars: tuple[Variable, ...],
@@ -282,9 +279,6 @@ class BooleanCSP(_CSPFields):
         one.
         """
         return tuple.__new__(cls, (vars, domains, constraints))
-
-    def with_domains(self, updates: Mapping[Variable, object]) -> BooleanCSP:
-        return BooleanCSP(self.vars, {**self.domains, **updates}, self.constraints)
 
 
 def bcsp(
@@ -303,7 +297,7 @@ class _StoreFields(NamedTuple):
     literals: frozenset[Literal]
 
 
-class ConstraintStore(_StoreFields):
+class ConstraintStore(CheckedRecord, _StoreFields):
     """A finite set of constraints and literals.
 
     Stores may contain complementary literals; such a store is
@@ -318,11 +312,6 @@ class ConstraintStore(_StoreFields):
         literals: Iterable[Literal] = frozenset(),
     ) -> ConstraintStore:
         return tuple.__new__(cls, (frozenset(constraints), frozenset(literals)))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> ConstraintStore:
-        # so that ``_replace`` normalises too (see ``BoolConstraint._make``)
-        return cls(*fields)
 
     def union(self, other: ConstraintStore) -> ConstraintStore:
         return ConstraintStore(

@@ -32,7 +32,6 @@ import itertools
 from functools import cached_property
 from typing import (
     Callable,
-    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -46,6 +45,7 @@ from boolprop.model import (
     ZERO,
     BoolConstraint,
     BooleanCSP,
+    CheckedRecord,
     ConstraintKind,
     ConstraintStore,
     Domain,
@@ -77,7 +77,7 @@ class _RuleFields(NamedTuple):
     replacement: ConstraintPattern | None
 
 
-class PropagationRule(_RuleFields):
+class PropagationRule(CheckedRecord, _RuleFields):
     """A rule on ``kind`` constraints; its ``replacement``, if any, is the
     one constraint pattern that replaces a match (four rules of BOOL')."""
 
@@ -114,11 +114,6 @@ class PropagationRule(_RuleFields):
         return tuple.__new__(
             cls, (name, kind, premise, conclusion_assignments, replacement)
         )
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> PropagationRule:
-        # so that ``_replace`` checks too (see ``BoolConstraint._make``)
-        return cls(*fields)
 
     @cached_property
     def drops(self) -> bool:

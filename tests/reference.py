@@ -153,7 +153,8 @@ def reference_solve(
     pending = [(csp, {}, 0)]
     while pending:
         base, update, depth = pending.pop()
-        closed, steps = close_csp(base.with_domains(update), system)
+        split = base._replace(domains={**base.domains, **update})
+        closed, steps = close_csp(split, system)
         propagations += len(steps)
         max_depth = max(max_depth, depth)
         if trace is not None:
@@ -201,17 +202,21 @@ def reference_parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
             if declared is not None:
                 raise ValueError(f"line {lineno}: second p cnf line")
-            if not fields[2].isdecimal():
+            if not (fields[2].isascii() and fields[2].isdecimal()):
                 raise ValueError(f"line {lineno}: bad variable count")
-            if not fields[3].isdecimal():
+            if not (fields[3].isascii() and fields[3].isdecimal()):
                 raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
             continue
         for tok in stripped.split():
             try:
+                if "_" in tok or not tok.isascii():  # int() reads both
+                    raise ValueError
                 tokens.append((lineno, int(tok)))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
+        if not stripped.isascii():  # non-ASCII whitespace between tokens
+            raise ValueError(f"line {lineno}: bad literal {stripped!r}")
     if declared is None:
         declared = max((abs(t) for _, t in tokens), default=0)
     vars = tuple(Variable(f"x{i+1}", i) for i in range(declared))

@@ -48,9 +48,12 @@ def random_cnf_text(n, seed, ratio=3.5, lengths=(2, 3, 4)):
 @st.composite
 def dimacs_texts(draw, max_vars=8):
     """Well-formed DIMACS text: a ``random_cnf_text`` CNF on a drawn
-    seed, a header that may declare up to three variables no clause
-    uses, and up to three drawn lines among the clauses that are
-    tautologies, repeat a literal or are the empty clause."""
+    seed, and up to three drawn lines among the clauses that are
+    tautologies, repeat a literal or are the empty clause.  The header
+    may declare up to three variables no clause uses, or be wide: it
+    declares up to 500 variables, and up to three clause variables move
+    to sparse indices high among them.  Or the text has no header, and
+    its highest literal sets the count."""
     used = draw(st.integers(1, max_vars))
     lengths = tuple(k for k in (1, 2, 3) if k <= used)
     ratio = draw(st.sampled_from((0.5, 1.5, 3.0)))
@@ -65,8 +68,20 @@ def dimacs_texts(draw, max_vars=8):
     )
     for line in draw(st.lists(odd, max_size=3)):
         lines.insert(draw(st.integers(0, len(lines))), line)
-    declared = used + draw(st.integers(0, 3))
-    return f"p cnf {declared} {len(lines)}\n" + "".join(f"{line}\n" for line in lines)
+    header = draw(st.sampled_from(("narrow", "wide", "none")))
+    if header != "wide":
+        declared = used + draw(st.integers(0, 3))
+    else:
+        # search is quadratic in the declared count, so keep it small
+        declared = draw(st.integers(used + 1, 500))
+        high = st.integers(used + 1, declared)
+        moved = dict(zip(range(1, used + 1),
+                         draw(st.lists(high, min_size=1, max_size=3, unique=True))))
+        moved.update({-v: -h for v, h in moved.items()})
+        lines = [" ".join(str(moved.get(int(t), t)) for t in line.split())
+                 for line in lines]
+    body = "".join(f"{line}\n" for line in lines)
+    return body if header == "none" else f"p cnf {declared} {len(lines)}\n" + body
 
 
 @st.composite

@@ -830,6 +830,30 @@ def test_dimacs_parser_matches_the_reference_on_edges(text):
     assert _parsed(parse_dimacs, text) == _parsed(reference_parse_dimacs, text)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("p cnf 20 1\n1_0 0\n", "line 2: bad literal '1_0'"),
+        ("p cnf 3 1\n\u0663 0\n", "line 2: bad literal '\u0663'"),
+        ("p cnf \u0661\u0660 1\n1 0\n", "line 1: bad variable count"),
+        ("p cnf 2 \u0661\n1 0\n", "line 1: bad clause count"),
+        ("1\u00a02 0\n", "line 1: bad literal '1\\xa02 0'"),
+    ],
+    ids=["underscore", "arabic-indic-literal", "arabic-indic-count",
+         "arabic-indic-clause-count", "no-break-space"],
+)
+def test_dimacs_reads_no_python_only_integer_spelling(tmp_path, capsys, text, error):
+    # int() reads "1_0" as 10 and Arabic-Indic digits as their values
+    with pytest.raises(ValueError) as info:
+        parse_dimacs(text)
+    assert str(info.value) == error
+    assert _parsed(reference_parse_dimacs, text) == f"ValueError: {error}"
+    f = tmp_path / "f.cnf"
+    f.write_text(text, encoding="utf-8")
+    assert cli.run_command(["solve", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_dimacs_bad_token_wins_over_an_earlier_literal_above_the_header():
     # every token is read before any literal is checked against the count
     with pytest.raises(ValueError, match="^line 3: bad literal 'x'$"):

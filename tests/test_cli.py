@@ -341,12 +341,22 @@ def _run_quietly(*argv):
 @settings(max_examples=100, deadline=None)
 @given(text=dimacs_texts())
 def test_well_formed_dimacs_never_ends_in_an_internal_error(tmp_path_factory, text):
-    # exit 1 means a bug in boolprop; translate's output is canonical, so
+    # exit 1 means a bug in boolprop; a DIMACS file is not .bcn, so
+    # translate --to-cnf refuses it as a usage error, unless it is empty
+    # and so also the empty problem; translate's output is canonical, so
     # read back and written again it is the same text
     path = tmp_path_factory.mktemp("cnf") / "f.cnf"
     path.write_text(text)
-    for command in ("solve", "propagate", "check"):
-        assert _run_quietly(command, path)[0] in (0, 2, 3), command
+    commands = [
+        *(("solve", "--system", system) for system in SYSTEMS),
+        *(("propagate", "--trace", "--system", system) for system in SYSTEMS),
+        ("check", "--hyper-arc"),
+        ("check", "--limited"),
+        *(("check", "--closed-under", system) for system in SYSTEMS),
+    ]
+    for argv in commands:
+        assert _run_quietly(*argv, path)[0] in (0, 2, 3), argv
+    assert _run_quietly("translate", "--to-cnf", path)[0] == (2 if text else 0)
     code, bcn = _run_quietly("translate", "--to-bcn", path)
     assert code == 0 and format_bcn(parse_bcn(bcn)) == bcn
 

@@ -201,9 +201,7 @@ def test_solution_restriction_is_hyper_arc_consistent(csp):
     solution = next(iter_solutions(csp), None)
     if solution is None:
         return
-    restricted = csp.with_domains(
-        {v: frozenset({solution[v]}) for v in csp.vars}
-    )
+    restricted = csp._replace(domains={v: frozenset({solution[v]}) for v in csp.vars})
     assert not hyper_arc_witnesses(restricted)
 
 

@@ -220,7 +220,7 @@ def test_solutions_monotone_under_domain_shrink(csp, data):
             [frozenset(s) for s in ({0}, {1}, set())]
         )
     )
-    shrunk = csp.with_domains({var: csp.domains[var] & smaller})
+    shrunk = csp._replace(domains={**csp.domains, var: csp.domains[var] & smaller})
     assert solutions(shrunk) <= solutions(csp)
 
 

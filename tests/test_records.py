@@ -3,11 +3,13 @@
 A record hashes and compares as the tuple of its fields, in C, so set
 orders, and with them every trace and output, depend on the field values
 alone.  A type that checks or normalises its fields does so in
-``__new__``, and its ``_make`` and ``_replace`` build through it.  No
-record is a dataclass, so importing the CLI loads neither
-``dataclasses`` nor ``inspect``.
+``__new__`` and lists ``model.CheckedRecord`` first among its bases,
+whose one ``_make``, so also ``_replace``, builds through that
+``__new__``.  No record is a dataclass, so importing the CLI loads
+neither ``dataclasses`` nor ``inspect``.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -15,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import boolprop
 from boolprop.model import (
     FULL,
     Assignment,
     BooleanCSP,
+    CheckedRecord,
     ConstraintKind,
     ConstraintStore,
     bcsp,
@@ -157,6 +161,35 @@ def test_make_and_replace_raise_as_the_constructor_does(construct, make, replace
     # the NamedTuple base's _make and _replace build without __new__
     # unless each type routes them through it
     assert _error(construct) == _error(make) == _error(replace)
+
+
+def _checking_records():
+    """Every class in boolprop that defines ``__new__`` over a
+    ``NamedTuple`` base."""
+    for path in sorted(Path(boolprop.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"boolprop.{path.stem}")
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and "__new__" in vars(cls)
+                and any(issubclass(base, tuple) and hasattr(base, "_fields")
+                        for base in cls.__bases__)
+            ):
+                yield cls
+
+
+def test_every_checking_record_makes_through_the_one_shared_make():
+    records = list(_checking_records())
+    assert {cls.__name__ for cls in records} >= {
+        "BoolConstraint", "Assignment", "BooleanCSP", "ConstraintStore",
+        "PropagationRule", "Clause",
+    }
+    for cls in records:
+        assert CheckedRecord in cls.__mro__, cls
+        assert "_make" not in vars(cls), cls
+        # listed after the NamedTuple base, CheckedRecord's _make would lose
+        assert cls._make.__func__ is vars(CheckedRecord)["_make"].__func__, cls
 
 
 def test_make_and_replace_normalise_as_the_constructor_does():
