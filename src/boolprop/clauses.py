@@ -12,10 +12,10 @@ on the translated clause set, and a unit step becomes at most three rule
 applications on translated stores, up to a redundant remainder that
 semantically follows from the result.
 
-``Clause`` and ``UnitStep`` are ``NamedTuple`` values, as every record
-of the model is, so hashing and equality run in C.  Each equals and
-hashes as the tuple of its fields: a ``Clause`` equals the 1-tuple of its
-frozenset.
+A ``Clause`` is a ``frozenset`` of literals, as in the paper, so it is
+built, hashed and compared in C and equals the plain frozenset of its
+literals; the empty clause is falsy.  ``UnitStep`` is a ``NamedTuple``,
+as every record of the model is.
 """
 
 from __future__ import annotations
@@ -24,18 +24,16 @@ import functools
 import heapq
 import itertools
 import random
+import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from boolprop.model import (
     BoolConstraint,
-    CheckedRecord,
     ConstraintKind,
     ConstraintStore,
     Literal,
     Variable,
     literal_sort_key,
-    neg,
-    pos,
     store,
     store_to_csp,
     variables,
@@ -55,45 +53,37 @@ class SimulationError(RuntimeError):
     """A cross-formalism replay failed; this signals a bug, not bad input."""
 
 
-class _ClauseFields(NamedTuple):
-    literals: frozenset[Literal]
-
-
-class Clause(CheckedRecord, _ClauseFields):
-    """A disjunction of distinct literals; empty means contradiction.
-
-    The literals are kept as a frozenset whichever iterable is given,
-    also through ``_make`` and ``_replace``, which ``CheckedRecord``
-    routes through ``__new__``.  Like any tuple of one field, even the
-    empty clause is truthy.
-    """
+class Clause(frozenset):
+    """A disjunction of distinct literals, the set of them; empty means
+    contradiction.  ``literals`` is the clause itself."""
 
     __slots__ = ()
 
-    def __new__(cls, literals: Iterable[Literal]) -> Clause:
-        return tuple.__new__(cls, (frozenset(literals),))
+    @property
+    def literals(self) -> Clause:
+        return self
 
     @property
     def is_unit(self) -> bool:
-        return len(self.literals) == 1
+        return len(self) == 1
 
     @property
     def unit_literal(self) -> Literal:
-        (lit,) = self.literals
+        (lit,) = self
         return lit
 
     def ordered(self) -> list[Literal]:
-        return sorted(self.literals, key=literal_sort_key)
+        return sorted(self, key=literal_sort_key)
 
     def __str__(self) -> str:
-        return " | ".join(str(l) for l in self.ordered()) if self.literals else "<empty>"
+        return " | ".join(str(l) for l in self.ordered()) if self else "<empty>"
 
 
 def clause(*literals: Literal) -> Clause:
     return Clause(literals)
 
 
-EMPTY_CLAUSE = Clause(frozenset())
+EMPTY_CLAUSE = Clause()
 
 ClauseSet = frozenset  # of Clause
 
@@ -131,31 +121,21 @@ def clause_set_variables(cs: ClauseSet) -> set[Variable]:
 _EQ, _NOT, _AND, _OR = ConstraintKind
 
 
+# each kind's clausal form, as DIMACS clauses over the roles 1-3
+_CLAUSAL_FORMS = {
+    _EQ: ((1, -2), (-1, 2)),
+    _NOT: ((1, 2), (-1, -2)),
+    _AND: ((-1, -2, 3), (1, -3), (2, -3)),
+    _OR: ((-1, 3), (-2, 3), (1, 2, -3)),
+}
+
+
 def constraint_clauses(c: BoolConstraint) -> frozenset[Clause]:
     """The fixed clausal encoding of one constraint."""
-    kind = c.kind
-    if kind is _EQ:
-        x, y = c.vars
-        return frozenset({clause(pos(x), neg(y)), clause(neg(x), pos(y))})
-    if kind is _NOT:
-        x, y = c.vars
-        return frozenset({clause(pos(x), pos(y)), clause(neg(x), neg(y))})
-    if kind is _AND:
-        x, y, z = c.vars
-        return frozenset(
-            {
-                clause(neg(x), neg(y), pos(z)),
-                clause(pos(x), neg(z)),
-                clause(pos(y), neg(z)),
-            }
-        )
-    x, y, z = c.vars
+    vs = c.vars
     return frozenset(
-        {
-            clause(neg(x), pos(z)),
-            clause(neg(y), pos(z)),
-            clause(pos(x), pos(y), neg(z)),
-        }
+        [Clause([Literal(vs[abs(r) - 1], r > 0) for r in form])
+         for form in _CLAUSAL_FORMS[c.kind]]
     )
 
 
@@ -485,7 +465,7 @@ def _check_redundant(redundant: ConstraintStore, s2: ConstraintStore) -> None:
     assumed = s2.union(ConstraintStore(redundant.constraints, frozenset(free)))
     for lit in sorted(redundant.literals - free, key=literal_sort_key):
         refuted, _ = close(Closure(store_to_csp(assumed.union(store(lit.negated())))), BOOL)
-        if 0 not in refuted.masks:
+        if not refuted.empty:
             raise SimulationError(f"redundant literal {lit} does not follow from S2")
 
 
@@ -645,58 +625,53 @@ def verify_reduction_to_rules(budget: int = 500, seed: int = 0) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
+# DIMACS numbers: a count is ASCII digits, a literal has an optional
+# sign too, and the tokens of a line are separated by spaces and tabs
+_COUNT = re.compile("[0-9]+")
+INTEGER = re.compile(f"[+-]?{_COUNT.pattern}")
+_BLANKS = re.compile("[ \t]+")
+_CLAUSE_LINE = re.compile(f"{INTEGER.pattern}(?:{_BLANKS.pattern}{INTEGER.pattern})*")
+
+
 def parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     """Read DIMACS CNF; returns the clause set and the variable sequence.
 
-    Variables are named x1..xn.  Comment lines start with ``c``.  The
-    ``p cnf`` header fixes the variable count, and a literal above it or
-    a second header is an error; without a header the count is the
-    highest literal.  The clause count must be a number but is not
-    enforced.  A line starting with ``%`` ends the input, as in the
-    SATLIB files that close with ``%`` and a lone ``0``.  Numbers are
-    ASCII digits with an optional sign: a ``_`` or a non-ASCII character,
-    which ``int`` would read, is an error.
-
-    The first pass reads each clause line into ints with one ``map``, so
-    a bad token anywhere is reported before a literal above a header
-    that may come later.  The second pass reads each literal from a
-    table built once per variable, which holds no key above the count.
+    Variables are named x1..xn.  Lines end at ``\\n``, a trailing ``\\r``
+    dropped.  Blank lines and comment lines, which start with ``c``, are
+    skipped, and a line starting with ``%`` ends the input, as in the
+    SATLIB files that close with ``%`` and a lone ``0``.  Every other
+    line is checked once against the grammar above: ``p cnf`` and two
+    counts, or literals.  The header fixes the variable count, and a
+    literal above it or a second header is an error; without a header
+    the count is the highest literal.  The clause count is not enforced.
+    Every line is checked before any literal is read against the count.
     """
     declared: int | None = None
     lines: list[tuple[int, list[int]]] = []  # (line number, its ints)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.removesuffix("\r").strip(" \t")
+        if _CLAUSE_LINE.fullmatch(stripped):
+            lines.append((lineno, list(map(int, stripped.split()))))
+        elif not stripped or stripped.startswith("c"):
             continue
-        if stripped.startswith("%"):
+        elif stripped.startswith("%"):
             break
-        if stripped.startswith("p"):
-            fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+        elif stripped.startswith("p"):
+            fields = _BLANKS.split(stripped)
+            if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
             if declared is not None:
                 raise ValueError(f"line {lineno}: second p cnf line")
-            if not (fields[2].isascii() and fields[2].isdecimal()):
+            if not _COUNT.fullmatch(fields[2]):
                 raise ValueError(f"line {lineno}: bad variable count")
-            if not (fields[3].isascii() and fields[3].isdecimal()):
+            if not _COUNT.fullmatch(fields[3]):
                 raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
-            continue
-        tokens = stripped.split()
-        try:
-            if "_" in stripped or not stripped.isascii():  # int() reads both
-                raise ValueError
-            lines.append((lineno, list(map(int, tokens))))
-        except ValueError:
-            # the first bad token, or the line when the bad character is
-            # non-ASCII whitespace, which split() drops
-            for tok in [*tokens, stripped]:
-                try:
-                    if "_" in tok or not tok.isascii():
-                        raise ValueError
-                    int(tok)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
+        else:
+            # the first bad token, or the line when what splits it into
+            # good tokens is other whitespace than spaces and tabs
+            bad = next((t for t in stripped.split() if not INTEGER.fullmatch(t)), stripped)
+            raise ValueError(f"line {lineno}: bad literal {bad!r}")
     if declared is None:
         declared = max((max(map(abs, ints)) for _, ints in lines), default=0)
     vars = tuple(Variable(f"x{i+1}", i) for i in range(declared))

@@ -16,6 +16,7 @@ from typing import Sequence
 from boolprop.bcn import format_bcn, parse_bcn
 from boolprop.clauses import (
     EMPTY_CLAUSE,
+    INTEGER,
     constraints_to_clauses,
     format_dimacs,
     parse_dimacs,
@@ -63,13 +64,7 @@ def _looks_like_dimacs(text: str) -> bool:
         if not stripped or stripped.startswith("c"):
             continue
         first = stripped.split()[0]
-        if first == "p":
-            return True
-        try:
-            int(first)
-        except ValueError:
-            return False
-        return True
+        return first == "p" or INTEGER.fullmatch(first) is not None
     # only comment lines, a valid empty CNF: no .bcn line starts with "c"
     return bool(text.strip())
 
@@ -186,8 +181,15 @@ def _sweep_args(args) -> dict:
     return {"budget": args.budget, "seed": args.seed}
 
 
+def _integer(text: str) -> int:
+    """An integer spelled as in DIMACS: ASCII digits, optionally signed."""
+    if not INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _budget(text: str) -> int:
-    budget = int(text)
+    budget = _integer(text)
     if budget < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {budget}")
     return budget
@@ -272,7 +274,7 @@ def _parser() -> argparse.ArgumentParser:
         required=True,
         choices=sorted(THEOREMS),
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_verify)
 

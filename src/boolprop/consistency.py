@@ -228,7 +228,7 @@ def verify_bool_prime(budget: int = 1000, seed: int = 0) -> SweepReport:
     other.  (Inconsistent instances fail with different empty domains --
     BOOL propagates towards outputs, BOOL' towards inputs -- so the
     non-failed guard applies here as everywhere else.)  Each closure is
-    a ``Closure`` state: both failed is a mask 0 in each, and only the
+    a ``Closure`` state: both failed is an empty mask in each, and only the
     other pairs are read back as CSPs for ``is_reformulation``.
     """
     rng = random.Random(seed)
@@ -256,7 +256,7 @@ def verify_bool_prime(budget: int = 1000, seed: int = 0) -> SweepReport:
         checked += 1
         closure_bool, _ = close(Closure(csp), BOOL)
         closure_prime, _ = close(Closure(csp), BOOL_PRIME)
-        if 0 in closure_bool.masks and 0 in closure_prime.masks:
+        if closure_bool.empty and closure_prime.empty:
             continue
         a, b = closure_bool.csp(), closure_prime.csp()
         if not is_reformulation(a, b):

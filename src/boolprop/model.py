@@ -119,7 +119,9 @@ def literal_sort_key(lit: Literal) -> tuple[int, int, str]:
 
 class CheckedRecord:
     """First base of every record that checks or normalises its fields in
-    ``__new__``, before the ``NamedTuple`` that declares them."""
+    ``__new__``, before the ``NamedTuple`` that declares them: the five
+    ``BoolConstraint``, ``Assignment``, ``BooleanCSP``,
+    ``ConstraintStore`` and ``rules.PropagationRule``."""
 
     __slots__ = ()
 

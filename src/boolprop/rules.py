@@ -426,21 +426,22 @@ class Closure:
     ``masks`` holds each position's domain as a 2-bit mask; per id,
     ``constraints``, ``scopes`` (positions), ``keys`` (sort keys) and
     ``alive``, and ``live`` counts the alive ids; per position,
-    ``occurs`` lists its ids, dropped ones too.
+    ``occurs`` lists its ids, dropped ones too.  ``empty`` counts the
+    masks that are 0, so a state has failed when it is non-zero.
     ``pending`` holds the ids the next ``close`` must scan.  A trail
     entry is a whole step: the rule's name (None for a ``restrict``),
     the matched id, (position, mask before, mask after) triples in role
     order, whether the id was dropped and the id the step added, or -1.
     An added id is the last one while its entry is on the trail, so
     ``undo`` pops it again.  ``steps`` renders rule entries for a trace,
-    and ``csp`` reads the current CSP off the state; callers that need
-    neither test the masks directly (a failed state has a mask 0).
+    and ``csp`` reads the current CSP off the state.
     """
 
     def __init__(self, csp: BooleanCSP) -> None:
         self.vars = csp.vars
         self.position = position = {v: i for i, v in enumerate(csp.vars)}
         self.masks = [_MASK[csp.domains[v]] for v in csp.vars]
+        self.empty = self.masks.count(0)
         self.constraints = list(csp.constraints)
         self.scopes = [tuple([position[v] for v in c.vars]) for c in self.constraints]
         self.keys = [constraint_sort_key(c) for c in self.constraints]
@@ -482,8 +483,10 @@ class Closure:
         drop id ``i`` if ``dropped`` and give ``added``, a (constraint,
         scope) pair or None, a new id, as one trail entry."""
         masks = self.masks
-        for p, _, mask in moved:
+        for p, before, mask in moved:
             masks[p] = mask
+            if not mask and before:
+                self.empty += 1
         if dropped:
             self.alive[i] = False
             self.live -= 1
@@ -518,8 +521,10 @@ class Closure:
         masks, alive, occurs, trail = self.masks, self.alive, self.occurs, self.trail
         while len(trail) > mark:
             _, i, moved, dropped, added = trail.pop()
-            for p, before, _ in moved:
+            for p, before, mask in moved:
                 masks[p] = before
+                if not mask and before:
+                    self.empty -= 1
             if dropped:
                 alive[i] = True
                 self.live += 1

@@ -4,7 +4,7 @@ Splitting is depth-first in declaration order, trying 1 before 0, over
 an explicit stack, so search depth is not bounded by the Python stack.
 The search keeps one ``Closure`` for all its branches: a branch
 restricts its split variable, propagates from that variable's
-constraints only, has failed when a domain mask is empty, and is
+constraints only, has failed when the state counts an empty mask, and is
 undone through the trail on backtrack.  A closed non-failed CSP with
 all domains singleton is a solution (closure makes every constraint
 supported at every domain value), so search stops there; the model is
@@ -84,7 +84,7 @@ def solve(
         max_depth = max(max_depth, depth)
         if trace is not None:
             trace.extend(state.steps(steps))
-        if 0 in masks:
+        if state.empty:
             conflicts += 1
             continue
         # the variables before the parent's split variable were already

@@ -19,11 +19,13 @@ the clause set.  The library keeps an occurrence index and a heap of
 pending resolutions and must take the same steps.
 
 ``reference_parse_dimacs`` is the specification of
-``boolprop.clauses.parse_dimacs``: one ``int`` call and one
-``Literal`` per token, and the clauses cut at the zeros of one list of
-every token of the file.  The library converts a line with one ``map``
-and reads literals from a table built once per variable; the two must
-give the same clause set and variables, or the same error.
+``boolprop.clauses.parse_dimacs``: it checks one token at a time
+against the DIMACS number grammar, written out here again, makes one
+``Literal`` per token, and cuts the clauses at the zeros of one list of
+every token of the file.  The library matches each line against one
+pattern, converts it with one ``map`` and reads literals from a table
+built once per variable; the two must give the same clause set and
+variables, or the same error.
 
 ``reference_translate_clause_set`` is the specification of
 ``boolprop.clauses.translate_clause_set``: it sorts the clauses with
@@ -69,7 +71,7 @@ use for them.
 from __future__ import annotations
 
 import itertools
-
+import re
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from boolprop.clauses import (
@@ -190,32 +192,32 @@ def reference_unit_propagate(
 def reference_parse_dimacs(text: str) -> tuple[ClauseSet, tuple[Variable, ...]]:
     declared: int | None = None
     tokens: list[tuple[int, int]] = []  # (line number, literal)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("c"):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.endswith("\r"):
+            line = line[:-1]
+        stripped = line.strip(" \t")
+        if not stripped or stripped[0] == "c":
             continue
-        if stripped.startswith("%"):
+        if stripped[0] == "%":
             break
-        if stripped.startswith("p"):
-            fields = stripped.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+        if stripped[0] == "p":
+            fields = re.split("[ \t]+", stripped)
+            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
                 raise ValueError(f"line {lineno}: malformed problem line {stripped!r}")
             if declared is not None:
                 raise ValueError(f"line {lineno}: second p cnf line")
-            if not (fields[2].isascii() and fields[2].isdecimal()):
+            if not re.fullmatch("[0-9]+", fields[2]):
                 raise ValueError(f"line {lineno}: bad variable count")
-            if not (fields[3].isascii() and fields[3].isdecimal()):
+            if not re.fullmatch("[0-9]+", fields[3]):
                 raise ValueError(f"line {lineno}: bad clause count")
             declared = int(fields[2])
             continue
         for tok in stripped.split():
-            try:
-                if "_" in tok or not tok.isascii():  # int() reads both
-                    raise ValueError
-                tokens.append((lineno, int(tok)))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad literal {tok!r}") from None
-        if not stripped.isascii():  # non-ASCII whitespace between tokens
+            if not re.fullmatch("[+-]?[0-9]+", tok):
+                raise ValueError(f"line {lineno}: bad literal {tok!r}")
+            tokens.append((lineno, int(tok)))
+        if any(ch.isspace() and ch not in " \t" for ch in stripped):
+            # good tokens split by other whitespace than spaces and tabs
             raise ValueError(f"line {lineno}: bad literal {stripped!r}")
     if declared is None:
         declared = max((abs(t) for _, t in tokens), default=0)

@@ -8,6 +8,8 @@ test still passes, so each pair must resolve to a callable.  The
 tracer also reads its step counts off what ``close`` returns, so a
 traced ``propagate`` and ``solve`` must report the steps they print,
 and a traced ``bool-prime`` sweep the steps and failures of its closures.
+The ``clauses`` workload prints ``unit_propagate``'s fixpoint from each
+clause's ``literals``, so that must stay the clause's literal set.
 """
 
 import importlib
@@ -15,6 +17,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+from boolprop.clauses import parse_dimacs, unit_propagate
 from boolprop.cli import run_command
 from boolprop.consistency import is_limited, single_constraint_csps
 from boolprop.model import is_failed
@@ -92,3 +95,17 @@ def test_traced_bool_prime_sweep_counts_its_closures(capsys):
     ]
     assert [(s[5], s[6]) for s in closes] == expected
     assert sum(n for n, _ in expected) > 0 and 0 < sum(f for _, f in expected) < 136
+
+
+def test_parsed_and_propagated_clauses_expose_their_literal_sets():
+    clause_set, vars = parse_dimacs("p cnf 3 3\n1 -2 0\n2 3 -1 0\n-3 0\n")
+    fixpoint, steps = unit_propagate(clause_set)
+    assert steps
+    as_ints = {
+        frozenset((l.var.index + 1) * (1 if l.positive else -1) for l in c.literals)
+        for c in fixpoint
+    }
+    assert as_ints == {frozenset({1, -2}), frozenset({2, -1}), frozenset({-3})}
+    for c in clause_set | fixpoint:
+        assert c.literals == frozenset(c) and len(c.literals) == len(c)
+        assert all(l.var in vars for l in c.literals)

@@ -20,6 +20,7 @@ from boolprop.clauses import (
     clause,
     clause_set_variables,
     clause_sort_key,
+    constraint_clauses,
     constraints_to_clauses,
     format_dimacs,
     format_unit_step,
@@ -50,6 +51,7 @@ from boolprop.model import (
     pos,
     store,
     store_to_csp,
+    truth_table,
     variables,
 )
 from boolprop import cli
@@ -74,48 +76,57 @@ X, Y, Z = variables("x y z")
 # ---------------------------------------------------------------------------
 
 
-def test_clause_values_hash_as_their_fields():
-    # the hash of the frozen dataclasses these replace: set orders,
-    # and so every trace and output, depend on it
-    lits = [pos(X), neg(Y)]
-    assert hash(Clause(lits)) == hash((frozenset(lits),))
+def test_unit_step_values_hash_as_their_fields():
+    # the hash of the frozen dataclass this replaces: set orders, and so
+    # every trace and output, depend on it
     fields = (RESOLVE, neg(X), clause(pos(X), neg(Y)), clause(neg(Y)))
     assert hash(UnitStep(*fields)) == hash(fields)
-    for cls in (Clause, UnitStep):
-        assert not dataclasses.is_dataclass(cls)
-        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+    assert not dataclasses.is_dataclass(UnitStep)
+    assert UnitStep.__hash__ is tuple.__hash__ and UnitStep.__eq__ is tuple.__eq__
 
 
-def test_clause_holds_a_frozenset_however_built():
-    # the NamedTuple base's _make and _replace skip __new__ unless
-    # Clause routes them through it
-    built = [
-        Clause([pos(X), neg(Y), pos(X)]),
-        Clause(literals=iter([neg(Y), pos(X)])),
-        Clause._make([[pos(X), neg(Y)]]),
-        clause(pos(Z))._replace(literals=[neg(Y), pos(X)]),
-    ]
-    for c in built:
-        assert type(c) is Clause and type(c.literals) is frozenset
-        assert c == clause(pos(X), neg(Y))
-    with pytest.raises(TypeError):
-        Clause._make([])
+def test_clause_is_the_frozenset_of_its_literals():
+    lits = frozenset({pos(X), neg(Y)})
+    for c in (
+        Clause([pos(X), neg(Y)]),
+        Clause(iter([neg(Y), pos(X)])),
+        Clause([pos(X), neg(Y), pos(X), neg(Y)]),
+        clause(neg(Y), pos(X)),
+    ):
+        assert type(c) is Clause and frozenset in Clause.__mro__
+        assert c == lits and hash(c) == hash(lits)
+        assert c.literals is c
+
+
+def test_clause_takes_no_attribute():
+    c = clause(pos(X))
     with pytest.raises(AttributeError):
-        clause(pos(X)).literals = frozenset()
+        c.literals = frozenset()
     with pytest.raises(AttributeError):
-        clause(pos(X)).extra = None
+        c.extra = None
 
 
-def test_clause_is_a_one_tuple():
-    # a NamedTuple equals the plain tuple of its fields, and a tuple of
-    # one field is truthy even when that field is empty
-    assert clause(pos(X)) == (frozenset({pos(X)}),)
-    assert EMPTY_CLAUSE and not EMPTY_CLAUSE.literals
+def test_the_empty_clause_is_falsy():
+    assert not EMPTY_CLAUSE and not EMPTY_CLAUSE.literals
+    assert EMPTY_CLAUSE == Clause([]) == frozenset()
+    assert clause(pos(X))
 
 
 # ---------------------------------------------------------------------------
 # translations constraint -> clauses
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(ConstraintKind), ids=lambda kind: kind.value)
+def test_each_clausal_form_has_the_models_of_its_truth_table(kind):
+    vs = (X, Y, Z)[: kind.arity]
+    clauses = constraint_clauses(BoolConstraint(kind, vs))
+    models = {
+        values
+        for values in itertools.product((0, 1), repeat=kind.arity)
+        if clause_set_satisfied(clauses, dict(zip(vs, values)))
+    }
+    assert models == truth_table(kind)
 
 
 def test_constraints_to_clauses():
@@ -822,6 +833,10 @@ DIMACS_EDGES = [
     "p cnf 1 2\n2 0\n1 x 0\n",
     "p cnf 1 1\np cnf 1 1\n",
     "p cnf 2\n",
+    "px cnf 1 1\n1 0\n",
+    "p\x0c cnf 1 1\n1 0\n",
+    "p cnf 2 1\r\n1 -2 0 \r\n",
+    "1 0\r2 0\n",
 ]
 
 
@@ -838,12 +853,25 @@ def test_dimacs_parser_matches_the_reference_on_edges(text):
         ("p cnf \u0661\u0660 1\n1 0\n", "line 1: bad variable count"),
         ("p cnf 2 \u0661\n1 0\n", "line 1: bad clause count"),
         ("1\u00a02 0\n", "line 1: bad literal '1\\xa02 0'"),
+        *(
+            case
+            for sep in "\x1c\x0b\x0c\x1f"
+            for case in (
+                (f"p cnf 2 1\n1{sep}2 0\n", f"line 2: bad literal {f'1{sep}2 0'!r}"),
+                (f"p cnf{sep}2 1\n1 0\n",
+                 f"line 1: malformed problem line {f'p cnf{sep}2 1'!r}"),
+            )
+        ),
     ],
     ids=["underscore", "arabic-indic-literal", "arabic-indic-count",
-         "arabic-indic-clause-count", "no-break-space"],
+         "arabic-indic-clause-count", "no-break-space",
+         *(f"{place}-{ord(sep):#04x}" for sep in "\x1c\x0b\x0c\x1f"
+           for place in ("clause", "header"))],
 )
 def test_dimacs_reads_no_python_only_integer_spelling(tmp_path, capsys, text, error):
-    # int() reads "1_0" as 10 and Arabic-Indic digits as their values
+    # int() reads "1_0" as 10 and Arabic-Indic digits as their values,
+    # and str.split() splits at the control characters above, which
+    # DIMACS does not: tokens are separated by spaces and tabs only
     with pytest.raises(ValueError) as info:
         parse_dimacs(text)
     assert str(info.value) == error
@@ -872,7 +900,15 @@ def _random_dimacs(rng):
     for extra in ("c note", "", "%", f"p cnf {n} 4", f"p cnf {n + 1} 1"):
         if rng.random() < (0.6 if extra.startswith(f"p cnf {n} ") else 0.1):
             lines.insert(rng.randint(0, len(lines)), extra)
-    return "\n".join(lines) + rng.choice(["", "\n"])
+    text = "\n".join(lines) + rng.choice(["", "\n"])
+    if " " in text and rng.random() < 0.1:
+        at = rng.choice([i for i, ch in enumerate(text) if ch == " "])
+        text = text[:at] + rng.choice(_ODD_SEPARATORS) + text[at + 1:]
+    return text
+
+
+# whitespace to str.split(), and no separator in DIMACS
+_ODD_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x1f\xa0"
 
 
 def test_dimacs_parser_matches_the_reference_on_random_texts():
@@ -883,8 +919,10 @@ def test_dimacs_parser_matches_the_reference_on_random_texts():
         got = _parsed(parse_dimacs, text)
         assert got == _parsed(reference_parse_dimacs, text), text
         parsed += not isinstance(got, str)
-    # both the parsed and the rejected path are exercised
+    # both the parsed and the rejected path are exercised, and some
+    # texts hold a separator that only str.split() reads as one
     assert 100 < parsed < 500
+    assert sum(any(ch in text for ch in _ODD_SEPARATORS) for text in texts) > 20
 
 
 def test_translate_clause_set_is_deterministic():

@@ -401,6 +401,20 @@ def test_solve_without_variables_prints_a_bare_model_line(tmp_path, capsys, name
     assert "\nmodel:\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first", ["1_0", "\u0663", "-1", "+1"])
+def test_a_file_is_dimacs_when_its_first_word_is_a_dimacs_integer(tmp_path, capsys, first):
+    # int() reads the first two too, but they are no DIMACS literal, so
+    # the file is read as .bcn, where no directive is a number
+    f = tmp_path / "f.txt"
+    f.write_text(f"{first} 0\n", encoding="utf-8")
+    code = run_command(["solve", str(f)])
+    if first in ("-1", "+1"):
+        assert code == 0 and "status: SAT" in capsys.readouterr().out
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 1: unknown directive {first!r}\n"
+
+
 def test_dimacs_literal_above_header_count_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "w.cnf"
     f.write_text("p cnf 2 1\n1 3 0\n")
@@ -586,3 +600,9 @@ def test_usage_error_exit_code(example, capsys):
     # argparse limits rule system names to the CLI's own
     assert run_command(["solve", example, "--system", "BOOL"]) == 2
     assert run_command(["check", example, "--closed-under", "resolution"]) == 2
+    # --seed and --budget take the DIMACS integer spelling only, not the
+    # Arabic-Indic digits and underscores Python's int() also reads
+    for option, value in (("--seed", "\u0663"), ("--seed", "1_0"), ("--budget", "1_0")):
+        argv = ["verify", "--theorem", "characterization", option, value]
+        assert run_command(argv) == 2, argv
+        assert "not an integer" in capsys.readouterr().err

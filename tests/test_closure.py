@@ -404,17 +404,22 @@ def test_undo_restores_the_state_a_continued_close_changed(csp, system, data):
     state = Closure(csp)
     # the default step cap reads the live ids from this count
     assert state.live == sum(state.alive) == len(csp.constraints)
+    assert state.empty == state.masks.count(0)
     close(state, system)
     assert state.live == sum(state.alive)
+    assert state.empty == state.masks.count(0)
     mark, ids = len(state.trail), len(state.constraints)
     masks, alive = list(state.masks), _alive(state)
     v = data.draw(st.sampled_from(csp.vars))
     state.restrict(v, data.draw(st.sampled_from((ZERO, ONE))))
     assert state.live == sum(state.alive)
+    assert state.empty == state.masks.count(0)
     close(state, system)
     assert state.live == sum(state.alive)
+    assert state.empty == state.masks.count(0)
     state.undo(mark)
     assert state.live == sum(state.alive)
+    assert state.empty == state.masks.count(0)
     assert len(state.trail) == mark
     assert (state.masks, _alive(state)) == (masks, alive)
     # the ids the steps added are popped again, from every per-id list

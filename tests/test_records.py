@@ -183,7 +183,7 @@ def test_every_checking_record_makes_through_the_one_shared_make():
     records = list(_checking_records())
     assert {cls.__name__ for cls in records} >= {
         "BoolConstraint", "Assignment", "BooleanCSP", "ConstraintStore",
-        "PropagationRule", "Clause",
+        "PropagationRule",
     }
     for cls in records:
         assert CheckedRecord in cls.__mro__, cls
